@@ -13,17 +13,25 @@
 //!    factor step allocates — intermediates bounce between the two buffers,
 //!    and the final step writes straight into the caller's output matrix.
 //! 2. **Packed slice panels**: each microkernel invocation transposes a
-//!    block of [`RK`] consecutive slices into a `P × RK` panel held on the
+//!    block of consecutive slices into a `P × width` panel held on the
 //!    stack, so the multiply's inner loop reads unit-stride (the CPU
 //!    equivalent of the kernel's `ShiftGToS` staging into shared memory).
-//! 3. **Register-tile multiply**: an [`RK`]`×`[`RQ`] accumulator tile is
-//!    updated with `mul_add` over the factor's `P` rows — bounds checks are
-//!    hoisted out of the loop, leaving pure FMA chains the compiler can
-//!    keep in vector registers.
+//!    The block is as wide as the register tile that will consume it: 16
+//!    slices (f32) or 8 (f64) when the 512-bit tile runs, [`RK`] otherwise.
+//! 3. **Register-tile multiply**, with the tile picked at run time: on
+//!    x86-64 CPUs that report AVX-512F, an explicit `std::arch` tile keeps
+//!    one zmm register of slices times 8 factor columns in 8 accumulators
+//!    (one vector load, eight broadcast FMAs per factor row). Elsewhere,
+//!    and for the slices and columns at a block's edge, the portable
+//!    [`RK`]`×`[`RQ`] tile runs: `mul_add` over the factor's `P` rows with
+//!    bounds checks hoisted out of the loop. Both compute every output
+//!    element as one in-order FMA chain over `p` starting from zero, so
+//!    they agree bit for bit whichever runs.
 //! 4. **Epilogue scatter** ([`fused_output_col`]): accumulated results go
 //!    directly to output column `q·S + s` (`S` = slice count), exactly step
 //!    4 of the emulated kernel — consecutive tile results are consecutive
-//!    output elements, so the scatter is a contiguous [`RK`]-wide store.
+//!    output elements, so the scatter is one contiguous store per factor
+//!    column (a single 512-bit store in the wide tile).
 //!
 //! Rows of the problem are independent, so the whole factor chain is
 //! parallelized by partitioning rows into tiles and running each tile's
@@ -41,17 +49,30 @@
 //! the inter-step barrier. Each task computes slices `[s_lo, s_hi)` of its
 //! row and scatters to the same `q·S + s` output columns the serial path
 //! uses, so the two modes are numerically identical (pinned by a proptest).
+//! Slice ranges are cut in whole blocks of the running tile, so only the
+//! last range of a row reaches the edge tiles.
 
 use kron_core::{Element, KronError, KronProblem, Matrix, Result};
 use rayon::ThreadPool;
+use std::any::TypeId;
+use std::mem::MaybeUninit;
 
-/// Slice-block edge of the register tile: the microkernel computes [`RK`]
+/// Slice-block edge of the portable register tile: it computes [`RK`]
 /// consecutive slices per accumulator tile, and the epilogue stores them as
-/// one contiguous run (they are adjacent output columns).
+/// one contiguous run (they are adjacent output columns). This tile is the
+/// only one on hosts without AVX-512F; with it, the 512-bit tile covers
+/// full blocks and this one the remainder slices and columns.
 pub const RK: usize = 8;
 
-/// Factor-column edge of the register tile.
+/// Factor-column edge of the portable register tile.
 pub const RQ: usize = 4;
+
+/// Factor-column edge of the 512-bit register tile.
+const WQ: usize = 8;
+
+/// Widest slice block any tile packs (the f32 512-bit tile's 16 lanes).
+const PANEL_SLICES: usize = 16;
+const _: () = assert!(RK <= PANEL_SLICES);
 
 /// Largest factor-row count the packed-panel fast path supports; factors
 /// taller than this (none in the paper's evaluation) take a safe strided
@@ -329,6 +350,7 @@ impl<T: Element> Workspace<T> {
         let mut k_in = chain.k0;
         let mut cur = self.buf_a.as_mut_ptr();
         let mut nxt = self.buf_b.as_mut_ptr();
+        let width = block_slices(WideTile::select::<T>());
         for (step, f) in chain.factors.iter().rev().enumerate() {
             let (p, q) = (f.rows(), f.cols());
             debug_assert!(p > 0 && k_in.is_multiple_of(p));
@@ -354,8 +376,9 @@ impl<T: Element> Workspace<T> {
 
             let rows_per = rows.div_ceil(row_groups);
             let row_tasks = rows.div_ceil(rows_per);
-            // Column chunks are multiples of RK so interior tiles stay full.
-            let s_chunk = slices.div_ceil(col_groups).div_ceil(RK) * RK;
+            // Column chunks are whole packed blocks of the tile that will
+            // run, so only the last chunk of a row reaches the edge tiles.
+            let s_chunk = slices.div_ceil(col_groups).div_ceil(width) * width;
             let col_tasks = slices.div_ceil(s_chunk);
 
             let srcp = ConstPtr(src);
@@ -368,7 +391,7 @@ impl<T: Element> Workspace<T> {
                 let nr = rows_per.min(rows - r0);
                 let s_lo = cg * s_chunk;
                 let s_hi = (s_lo + s_chunk).min(slices);
-                let mut panel = [T::ZERO; RK * PANEL_MAX_P];
+                let mut panel = uninit_panel();
                 for r in r0..r0 + nr {
                     // SAFETY: tasks partition the (row, slice-range) grid
                     // disjointly; reads from `src` are shared, writes go to
@@ -437,14 +460,15 @@ impl<T: Element> Workspace<T> {
 /// `kron-dist`) can keep one panel per simulated device and stay
 /// allocation-free across calls, exactly like the fused path's row tiles.
 pub struct PackPanel<T: Element> {
-    buf: [T; RK * PANEL_MAX_P],
+    buf: Panel<T>,
 }
 
 impl<T: Element> PackPanel<T> {
-    /// A fresh (zeroed) panel. ~`RK · 160` elements, fine on the stack.
+    /// A fresh panel, left uninitialized: the pack loop writes every
+    /// element a tile reads. `16 · 160` elements, fine on the stack.
     pub fn new() -> Self {
         PackPanel {
-            buf: [T::ZERO; RK * PANEL_MAX_P],
+            buf: uninit_panel(),
         }
     }
 }
@@ -467,7 +491,7 @@ impl<T: Element> Default for PackPanel<T> {
 /// caller's reusable pack buffer.
 ///
 /// Numerically identical to the fused path's serial row loop: it runs the
-/// same microkernel ([`RK`]`×`[`RQ`] packed-panel tiles with the
+/// same microkernels (packed-panel register tiles with the
 /// [`fused_output_col`] epilogue), so engines layered on it agree
 /// bit-for-bit with every single-device path.
 ///
@@ -680,9 +704,8 @@ fn run_tile<T: Element>(chain: Chain<'_, T>, bufs: TileBuffers<'_, T>) {
         l,
     } = bufs;
     // One packed-panel buffer per tile, reused by every row and factor
-    // step; the pack loop fully overwrites the `p·rk` region it reads, so
-    // this single zero-init is all the initialization it ever needs.
-    let mut panel = [T::ZERO; RK * PANEL_MAX_P];
+    // step; the pack loop writes the whole `p·rk` region a tile reads.
+    let mut panel = uninit_panel();
     let n = chain.factors.len();
     let (mut cur, mut nxt) = (a, b);
     let mut k_in = chain.k0;
@@ -743,13 +766,123 @@ fn run_tile<T: Element>(chain: Chain<'_, T>, bufs: TileBuffers<'_, T>) {
     }
 }
 
+/// A packed-panel buffer: room for a `P × width` slice block up to
+/// [`PANEL_MAX_P`] rows and [`PANEL_SLICES`] slices. It is never zeroed;
+/// each block's pack loop writes exactly the `p·width` prefix its tiles
+/// read before they read it.
+type Panel<T> = [MaybeUninit<T>; PANEL_SLICES * PANEL_MAX_P];
+
+/// A panel with no initialization cost.
+fn uninit_panel<T>() -> Panel<T> {
+    [const { MaybeUninit::uninit() }; PANEL_SLICES * PANEL_MAX_P]
+}
+
+/// The 512-bit register tile this host runs for an element type. On
+/// targets other than x86-64 the enum has no variants, so only the
+/// portable tile exists.
+#[derive(Clone, Copy)]
+enum WideTile {
+    /// 16 f32 slices × [`WQ`] columns.
+    #[cfg(target_arch = "x86_64")]
+    F32,
+    /// 8 f64 slices × [`WQ`] columns.
+    #[cfg(target_arch = "x86_64")]
+    F64,
+}
+
+impl WideTile {
+    /// The wide tile for `T` if the CPU supports AVX-512F, else `None`.
+    /// The detection result is cached by the standard library, so this is
+    /// one load per call.
+    fn select<T: Element>() -> Option<WideTile> {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                let t = TypeId::of::<T>();
+                if t == TypeId::of::<f32>() {
+                    return Some(WideTile::F32);
+                }
+                if t == TypeId::of::<f64>() {
+                    return Some(WideTile::F64);
+                }
+            }
+        }
+        None
+    }
+
+    /// Slices per tile: one 512-bit register of elements.
+    fn slices(self) -> usize {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            WideTile::F32 => avx512::F32_SLICES,
+            #[cfg(target_arch = "x86_64")]
+            WideTile::F64 => avx512::F64_SLICES,
+        }
+    }
+
+    /// Runs the tile on columns `[q0, q0 + WQ)` of a packed block of
+    /// [`WideTile::slices`] slices starting at slice `s0`.
+    ///
+    /// # Safety
+    /// `self` came from [`WideTile::select::<T>`] (so `T` is the tile's
+    /// element type and the CPU has AVX-512F), `panel.len() >= p·slices()`,
+    /// `f.len() >= p·q`, `q0 + WQ <= q`, `s0 + slices() <= slices`, and
+    /// `out` is valid for `slices·q` element writes with the written
+    /// columns owned by this thread.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    unsafe fn run<T: Element>(
+        self,
+        panel: &[T],
+        f: &[T],
+        p: usize,
+        q: usize,
+        q0: usize,
+        s0: usize,
+        slices: usize,
+        out: *mut T,
+    ) {
+        debug_assert!(panel.len() >= p * self.slices() && f.len() >= p * q);
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            WideTile::F32 => avx512::tile_f32(
+                panel.as_ptr().cast(),
+                f.as_ptr().cast(),
+                p,
+                q,
+                q0,
+                s0,
+                slices,
+                out.cast(),
+            ),
+            #[cfg(target_arch = "x86_64")]
+            WideTile::F64 => avx512::tile_f64(
+                panel.as_ptr().cast(),
+                f.as_ptr().cast(),
+                p,
+                q,
+                q0,
+                s0,
+                slices,
+                out.cast(),
+            ),
+        }
+    }
+}
+
+/// Slices per packed block: the wide tile's width when one runs, else
+/// [`RK`].
+fn block_slices(wide: Option<WideTile>) -> usize {
+    wide.map_or(RK, WideTile::slices)
+}
+
 /// One row's sliced multiply, `out[q·S + s] = Σ_p x[s·P + p] · F[p][q]`,
-/// register-blocked [`RK`]`×`[`RQ`] with a packed slice panel.
+/// register-blocked with a packed slice panel.
 ///
 /// `f` is the factor's row-major `P × Q` buffer. `x` must hold at least
 /// `slices·p` elements and `out` at least `slices·q`. `panel` is the
-/// caller's (zero-initialized) pack buffer — hoisted out so its init cost
-/// is paid once per tile, not once per row per factor step.
+/// caller's pack buffer, hoisted out so it lives once per tile, not once
+/// per row per factor step.
 fn sliced_multiply_row<T: Element>(
     x: &[T],
     f: &[T],
@@ -757,7 +890,7 @@ fn sliced_multiply_row<T: Element>(
     q: usize,
     slices: usize,
     out: &mut [T],
-    panel: &mut [T; RK * PANEL_MAX_P],
+    panel: &mut Panel<T>,
 ) {
     debug_assert!(out.len() >= slices * q);
     // SAFETY: `out` is an exclusive borrow covering all `slices·q` writes,
@@ -786,7 +919,45 @@ unsafe fn sliced_multiply_row_range<T: Element>(
     s_lo: usize,
     s_hi: usize,
     out: *mut T,
-    panel: &mut [T; RK * PANEL_MAX_P],
+    panel: &mut Panel<T>,
+) {
+    // SAFETY: this function's contract, forwarded unchanged, plus a tile
+    // from `select::<T>()` as the `_with` form requires.
+    unsafe {
+        sliced_multiply_row_range_with(
+            WideTile::select::<T>(),
+            x,
+            f,
+            p,
+            q,
+            slices,
+            s_lo,
+            s_hi,
+            out,
+            panel,
+        )
+    }
+}
+
+/// [`sliced_multiply_row_range`] with the wide tile chosen by the caller;
+/// `None` runs only the portable tile (the bit-identity test compares the
+/// two).
+///
+/// # Safety
+/// The contract of [`sliced_multiply_row_range`], and `wide` is `None` or
+/// the result of [`WideTile::select::<T>`].
+#[allow(clippy::too_many_arguments)]
+unsafe fn sliced_multiply_row_range_with<T: Element>(
+    wide: Option<WideTile>,
+    x: &[T],
+    f: &[T],
+    p: usize,
+    q: usize,
+    slices: usize,
+    s_lo: usize,
+    s_hi: usize,
+    out: *mut T,
+    panel: &mut Panel<T>,
 ) {
     debug_assert!(s_lo <= s_hi && s_hi <= slices);
     debug_assert!(x.len() >= s_hi * p);
@@ -795,46 +966,95 @@ unsafe fn sliced_multiply_row_range<T: Element>(
         return sliced_multiply_row_tall(x, f, p, q, slices, s_lo, s_hi, out);
     }
 
-    // Packed panel: panel[pi·rk + i] holds x[(s0+i)·P + pi], i.e. the
-    // slice block transposed so the multiply reads unit-stride in `i`.
+    let width = block_slices(wide);
     let mut s0 = s_lo;
     while s0 < s_hi {
-        let rk = RK.min(s_hi - s0);
+        let rk = width.min(s_hi - s0);
+        // Packed panel: panel[pi·rk + i] holds x[(s0+i)·P + pi], i.e. the
+        // slice block transposed so the multiply reads unit-stride in `i`.
         for i in 0..rk {
             let slice = &x[(s0 + i) * p..(s0 + i) * p + p];
             for (pi, &v) in slice.iter().enumerate() {
-                panel[pi * rk + i] = v;
+                panel[pi * rk + i] = MaybeUninit::new(v);
             }
         }
-        let mut q0 = 0;
-        while q0 < q {
-            let rq = RQ.min(q - q0);
-            if rk == RK && rq == RQ {
-                // SAFETY: the debug_asserts above establish the bounds this
-                // unchecked tile relies on: panel holds `p·RK` packed
-                // elements, `f` holds `p·q` with `q0 + RQ <= q`, and `out`
-                // covers `slices·q` elements with `s0 + RK <= slices`.
-                full_tile(panel, f, p, q, q0, s0, slices, out);
-            } else {
-                edge_tile(panel, f, p, q, q0, rq, s0, rk, slices, out);
+        // SAFETY: the loop above wrote index `pi·rk + i` for every
+        // `pi < p`, `i < rk`, i.e. all of `[0, p·rk)`, and `p·rk` fits the
+        // panel because `p <= PANEL_MAX_P` and `rk <= PANEL_SLICES`.
+        let packed = unsafe { std::slice::from_raw_parts(panel.as_ptr().cast::<T>(), p * rk) };
+        // Full blocks go to the wide tile, 8 columns at a time; the
+        // portable tile takes the remainder columns and partial blocks.
+        let mut q_wide = 0;
+        if let Some(tile) = wide.filter(|_| rk == width) {
+            q_wide = q - q % WQ;
+            for q0 in (0..q_wide).step_by(WQ) {
+                // SAFETY: `tile` is `select::<T>()` (caller contract), the
+                // block is full (`packed` holds `p·width`, `s0 + width <=
+                // s_hi <= slices`), `q0 + WQ <= q_wide <= q`, and `out`
+                // and column ownership are this function's own contract.
+                unsafe { tile.run(packed, f, p, q, q0, s0, slices, out) };
             }
-            q0 += RQ;
         }
-        s0 += RK;
+        // SAFETY: `packed` holds `p·rk`, `s0 + rk <= s_hi <= slices`, and
+        // `out` and column ownership are this function's own contract.
+        unsafe { portable_block(packed, rk, f, p, q, q_wide, s0, slices, out) };
+        s0 += rk;
     }
 }
 
-/// Full [`RK`]`×`[`RQ`] register tile over a packed panel; the hot loop of
-/// the whole engine. Bounds checks are hoisted to the caller.
+/// Portable [`RK`]`×`[`RQ`] tiles over columns `[q_lo, q)` of a packed
+/// block of `rk` slices starting at slice `s0` (panel row stride `rk`).
 ///
 /// # Safety
-/// Requires `panel.len() >= p·RK`, `f.len() >= p·q`, `q0 + RQ <= q`,
-/// `s0 + RK <= slices`, and `out` valid for `slices·q` element writes with
-/// the written columns owned by this thread.
+/// `panel.len() >= p·rk`, `f.len() >= p·q`, `s0 + rk <= slices`, and `out`
+/// valid for `slices·q` element writes with the written columns owned by
+/// this thread.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+unsafe fn portable_block<T: Element>(
+    panel: &[T],
+    rk: usize,
+    f: &[T],
+    p: usize,
+    q: usize,
+    q_lo: usize,
+    s0: usize,
+    slices: usize,
+    out: *mut T,
+) {
+    for i0 in (0..rk).step_by(RK) {
+        let sub = RK.min(rk - i0);
+        let sub_panel = &panel[i0..];
+        for q0 in (q_lo..q).step_by(RQ) {
+            let rq = RQ.min(q - q0);
+            if sub == RK && rq == RQ {
+                // SAFETY: `sub_panel` starts at slice `i0` of a `p·rk`
+                // panel with `i0 + RK <= rk`, so it holds the
+                // `(p-1)·rk + RK` elements the unchecked tile reads; `f`
+                // holds `p·q` with `q0 + RQ <= q`, and `out` covers
+                // `slices·q` elements with `s0 + i0 + RK <= slices`.
+                unsafe { full_tile(sub_panel, rk, f, p, q, q0, s0 + i0, slices, out) };
+            } else {
+                // SAFETY: `out` as above; panel and `f` reads are checked.
+                unsafe { edge_tile(sub_panel, rk, f, p, q, q0, rq, s0 + i0, sub, slices, out) };
+            }
+        }
+    }
+}
+
+/// Full [`RK`]`×`[`RQ`] register tile over a packed panel with row stride
+/// `ld`; the hot loop on hosts without AVX-512F. Bounds checks are hoisted
+/// to the caller.
+///
+/// # Safety
+/// Requires `p >= 1`, `panel.len() >= (p-1)·ld + RK`, `f.len() >= p·q`,
+/// `q0 + RQ <= q`, `s0 + RK <= slices`, and `out` valid for `slices·q`
+/// element writes with the written columns owned by this thread.
 #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
 #[inline(always)]
 unsafe fn full_tile<T: Element>(
     panel: &[T],
+    ld: usize,
     f: &[T],
     p: usize,
     q: usize,
@@ -845,7 +1065,7 @@ unsafe fn full_tile<T: Element>(
 ) {
     let mut acc = [[T::ZERO; RQ]; RK];
     for pi in 0..p {
-        let xs = panel.get_unchecked(pi * RK..pi * RK + RK);
+        let xs = panel.get_unchecked(pi * ld..pi * ld + RK);
         let fr = f.get_unchecked(pi * q + q0..pi * q + q0 + RQ);
         for i in 0..RK {
             let xv = *xs.get_unchecked(i);
@@ -864,7 +1084,8 @@ unsafe fn full_tile<T: Element>(
     }
 }
 
-/// Partial tile at the `slices`/`q` edges.
+/// Partial tile at the `slices`/`q` edges, over a panel with row stride
+/// `ld`.
 ///
 /// # Safety
 /// `out` must be valid for `slices·q` element writes with the written
@@ -872,6 +1093,7 @@ unsafe fn full_tile<T: Element>(
 #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
 unsafe fn edge_tile<T: Element>(
     panel: &[T],
+    ld: usize,
     f: &[T],
     p: usize,
     q: usize,
@@ -884,7 +1106,7 @@ unsafe fn edge_tile<T: Element>(
 ) {
     let mut acc = [[T::ZERO; RQ]; RK];
     for pi in 0..p {
-        let xs = &panel[pi * rk..pi * rk + rk];
+        let xs = &panel[pi * ld..pi * ld + rk];
         let fr = &f[pi * q + q0..pi * q + q0 + rq];
         for (i, &xv) in xs.iter().enumerate() {
             for (j, &fv) in fr.iter().enumerate() {
@@ -896,6 +1118,101 @@ unsafe fn edge_tile<T: Element>(
         let base = fused_output_col(q0 + j, slices, s0);
         for i in 0..rk {
             *out.add(base + i) = acc[i][j];
+        }
+    }
+}
+
+/// The 512-bit register tiles. Each keeps [`WQ`] accumulators of one zmm
+/// register of consecutive slices; per factor row `p` it loads one vector
+/// from the packed panel and issues one FMA per column against a broadcast
+/// of `F[p][q0 + j]`. Lane `i` of accumulator `j` is therefore the same
+/// in-order FMA chain over `p`, starting from zero, that the portable
+/// tile computes for slice `s0 + i`, column `q0 + j`.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{fused_output_col, WQ};
+    use std::arch::x86_64::{
+        _mm512_fmadd_pd, _mm512_fmadd_ps, _mm512_loadu_pd, _mm512_loadu_ps, _mm512_set1_pd,
+        _mm512_set1_ps, _mm512_setzero_pd, _mm512_setzero_ps, _mm512_storeu_pd, _mm512_storeu_ps,
+    };
+
+    /// Slices per f32 tile: the f32 lanes of one zmm register.
+    pub(super) const F32_SLICES: usize = 16;
+
+    /// Slices per f64 tile: the f64 lanes of one zmm register.
+    pub(super) const F64_SLICES: usize = 8;
+
+    const _: () = assert!(F32_SLICES <= super::PANEL_SLICES && F64_SLICES <= super::PANEL_SLICES);
+
+    /// 16 f32 slices × [`WQ`] columns.
+    ///
+    /// # Safety
+    /// The CPU supports AVX-512F; `panel` is valid for `p·16` reads (row
+    /// stride 16), `f` for `p·q` reads with `q0 + WQ <= q`, and `out` for
+    /// `slices·q` writes with `s0 + 16 <= slices` and the written columns
+    /// owned by this thread.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn tile_f32(
+        panel: *const f32,
+        f: *const f32,
+        p: usize,
+        q: usize,
+        q0: usize,
+        s0: usize,
+        slices: usize,
+        out: *mut f32,
+    ) {
+        let mut acc = [_mm512_setzero_ps(); WQ];
+        for pi in 0..p {
+            // SAFETY: `pi < p`, so the 16 panel and `WQ` factor elements
+            // read here are inside the ranges the caller guarantees.
+            unsafe {
+                let xv = _mm512_loadu_ps(panel.add(pi * F32_SLICES));
+                let fr = f.add(pi * q + q0);
+                for (j, a) in acc.iter_mut().enumerate() {
+                    *a = _mm512_fmadd_ps(xv, _mm512_set1_ps(*fr.add(j)), *a);
+                }
+            }
+        }
+        for (j, a) in acc.into_iter().enumerate() {
+            // SAFETY: column `q0 + j < q`'s 16 results are consecutive at
+            // `(q0 + j)·slices + s0`, inside `out` since `s0 + 16 <= slices`.
+            unsafe { _mm512_storeu_ps(out.add(fused_output_col(q0 + j, slices, s0)), a) };
+        }
+    }
+
+    /// 8 f64 slices × [`WQ`] columns.
+    ///
+    /// # Safety
+    /// As [`tile_f32`], with 8 slices: `panel` valid for `p·8` reads (row
+    /// stride 8) and `s0 + 8 <= slices`.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn tile_f64(
+        panel: *const f64,
+        f: *const f64,
+        p: usize,
+        q: usize,
+        q0: usize,
+        s0: usize,
+        slices: usize,
+        out: *mut f64,
+    ) {
+        let mut acc = [_mm512_setzero_pd(); WQ];
+        for pi in 0..p {
+            // SAFETY: as in `tile_f32`, with 8 panel elements per row.
+            unsafe {
+                let xv = _mm512_loadu_pd(panel.add(pi * F64_SLICES));
+                let fr = f.add(pi * q + q0);
+                for (j, a) in acc.iter_mut().enumerate() {
+                    *a = _mm512_fmadd_pd(xv, _mm512_set1_pd(*fr.add(j)), *a);
+                }
+            }
+        }
+        for (j, a) in acc.into_iter().enumerate() {
+            // SAFETY: as in `tile_f32`, with `s0 + 8 <= slices`.
+            unsafe { _mm512_storeu_pd(out.add(fused_output_col(q0 + j, slices, s0)), a) };
         }
     }
 }
@@ -1076,9 +1393,102 @@ mod tests {
         let x = [1.0f64, 2.0, 3.0, 4.0];
         let f = [10.0f64, 20.0, 30.0, 40.0];
         let mut out = [0.0f64; 4];
-        let mut panel = [0.0f64; RK * PANEL_MAX_P];
+        let mut panel = uninit_panel();
         sliced_multiply_row(&x, &f, 2, 2, 2, &mut out, &mut panel);
         assert_eq!(out, [70.0, 150.0, 100.0, 220.0]);
+    }
+
+    /// Real values in `[-1, 1)` from a 64-bit LCG: products and sums
+    /// round, so two kernels agree bit for bit only if they run the same
+    /// FMA chains in the same order.
+    fn random_vec<T: Element>(len: usize, state: &mut u64) -> Vec<T> {
+        (0..len)
+            .map(|_| {
+                *state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                T::from_f64((*state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0)
+            })
+            .collect()
+    }
+
+    /// The wide tile and the portable tile, each called directly on the
+    /// same row ranges, must write the same bits.
+    fn assert_wide_tile_matches_portable<T: Element>() {
+        let Some(wide) = WideTile::select::<T>() else {
+            eprintln!(
+                "SKIPPED wide-vs-portable bit identity ({}): this CPU has no AVX-512F, \
+                 so only the portable tile exists",
+                T::DTYPE.rust_name()
+            );
+            return;
+        };
+        let width = wide.slices();
+        let mut rng = 0x9E37_79B9_7F4A_7C15_u64;
+        for p in [1usize, 2, 3, 8, 17, 160] {
+            for q in [1usize, 5, 8, 13, 16] {
+                // Slice counts below, at and off multiples of the width.
+                for slices in [1usize, 7, width, width + 5, 3 * width - 3] {
+                    let x = random_vec::<T>(slices * p, &mut rng);
+                    let f = random_vec::<T>(p * q, &mut rng);
+                    // Ranges as wide mode cuts a row (whole blocks, the
+                    // last chunk short) plus one unaligned interior range.
+                    let mut ranges = vec![(slices / 5, slices - slices / 7)];
+                    for col_groups in 1..=3 {
+                        let chunk = slices.div_ceil(col_groups).div_ceil(width) * width;
+                        ranges.extend(
+                            (0..slices)
+                                .step_by(chunk)
+                                .map(|lo| (lo, (lo + chunk).min(slices))),
+                        );
+                    }
+                    for (s_lo, s_hi) in ranges {
+                        let mut panel = uninit_panel();
+                        let mut run = |tile: Option<WideTile>| {
+                            let mut out = vec![T::ZERO; slices * q];
+                            // SAFETY: `out` holds `slices·q` elements owned
+                            // by this thread, `x` holds `slices·p`, `f`
+                            // holds `p·q`, `s_lo <= s_hi <= slices`, and
+                            // `tile` is `None` or `select::<T>()`.
+                            unsafe {
+                                sliced_multiply_row_range_with(
+                                    tile,
+                                    &x,
+                                    &f,
+                                    p,
+                                    q,
+                                    slices,
+                                    s_lo,
+                                    s_hi,
+                                    out.as_mut_ptr(),
+                                    &mut panel,
+                                )
+                            };
+                            out
+                        };
+                        let (want, got) = (run(None), run(Some(wide)));
+                        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                            assert_eq!(
+                                g.to_f64().to_bits(),
+                                w.to_f64().to_bits(),
+                                "p={p} q={q} slices={slices} [{s_lo},{s_hi}) element {i}: \
+                                 wide {g} vs portable {w}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wide_tile_is_bit_identical_to_portable_tile_f32() {
+        assert_wide_tile_matches_portable::<f32>();
+    }
+
+    #[test]
+    fn wide_tile_is_bit_identical_to_portable_tile_f64() {
+        assert_wide_tile_matches_portable::<f64>();
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!   with zero intermediate allocations and no transpose pass. A
 //!   [`exec::Workspace`] holds two ping-pong buffers sized once from
 //!   [`kron_core::KronProblem::max_intermediate_elems`]; each factor step
-//!   runs a register-blocked microkernel (packed slice panels, `RK×RQ`
-//!   `mul_add` accumulator tile) whose epilogue scatters results directly
+//!   runs a register-blocked microkernel (packed slice panels; a 512-bit
+//!   tile on AVX-512F CPUs, chosen at run time, and the portable `RK×RQ`
+//!   `mul_add` tile elsewhere) whose epilogue scatters results directly
 //!   to output column `q·K/P + slice` ([`exec::fused_output_col`]) — the
 //!   memory shuffle the shuffle algorithm pays for never happens. Row
 //!   tiles run in parallel, each threading its *entire* factor chain

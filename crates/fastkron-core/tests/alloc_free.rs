@@ -7,11 +7,21 @@
 //! everything here runs below the parallel-dispatch FLOP threshold: row
 //! tiles would otherwise spawn scoped threads, which allocate once per
 //! execute (never per factor step) and would make the count host-dependent.
+//!
+//! The counter is process-wide and the test harness runs tests on parallel
+//! threads, so every test holds [`serial`]'s lock for its whole body: one
+//! test's set-up allocations must not land in another's counting window.
+//! Other threads still allocate outside the lock: the harness reports a
+//! finished test and spawns the next test's thread, and the global pool's
+//! workers start up after the first execute. So each counting window opens
+//! only once no allocation has happened for a while.
 
 use fastkron_core::exec::Workspace;
 use kron_core::{FactorShape, KronProblem, Matrix};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 struct CountingAllocator;
 
@@ -40,8 +50,30 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Allocations performed while running `f`.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// How long the process must go without allocating before a window opens.
+const QUIET: Duration = Duration::from_millis(20);
+
+/// Serializes the tests of this binary. The guarded data is `()`, so a
+/// test that panicked while holding the lock leaves nothing torn and the
+/// poison is cleared rather than failing every later test.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Allocations performed while running `f`, counted from the first moment
+/// after the process has gone [`QUIET`] long without allocating.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let mut last = ALLOCATIONS.load(Ordering::SeqCst);
+    loop {
+        std::thread::sleep(QUIET);
+        let now = ALLOCATIONS.load(Ordering::SeqCst);
+        if now == last {
+            break;
+        }
+        last = now;
+    }
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     let result = f();
     (ALLOCATIONS.load(Ordering::SeqCst) - before, result)
@@ -82,6 +114,7 @@ fn assert_allocation_free(problem: &KronProblem, label: &str) {
 
 #[test]
 fn uniform_chain_is_allocation_free() {
+    let _serial = serial();
     assert_allocation_free(
         &KronProblem::uniform(2, 4, 3).unwrap(),
         "uniform 4^3 (3 factor steps)",
@@ -90,6 +123,7 @@ fn uniform_chain_is_allocation_free() {
 
 #[test]
 fn long_chain_is_allocation_free() {
+    let _serial = serial();
     // Six factor steps: per-step allocation would show up six-fold.
     assert_allocation_free(
         &KronProblem::uniform(1, 2, 6).unwrap(),
@@ -99,6 +133,7 @@ fn long_chain_is_allocation_free() {
 
 #[test]
 fn mixed_rectangular_chain_is_allocation_free() {
+    let _serial = serial();
     assert_allocation_free(
         &KronProblem::new(
             2,
@@ -115,6 +150,7 @@ fn mixed_rectangular_chain_is_allocation_free() {
 
 #[test]
 fn old_per_step_path_allocated_and_fused_does_not() {
+    let _serial = serial();
     // Regression guard on the motivation itself: the shuffle reference
     // allocates per factor step (reshape-GEMM-transpose materializes fresh
     // matrices); the fused path must not.
