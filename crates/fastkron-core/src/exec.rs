@@ -18,11 +18,14 @@
 //!    equivalent of the kernel's `ShiftGToS` staging into shared memory).
 //!    The block is as wide as the register tile that will consume it: 16
 //!    slices (f32) or 8 (f64) when the 512-bit tile runs, [`RK`] otherwise.
+//!    The 512-bit path packs full blocks with an in-register transpose of
+//!    `width × width` blocks when `P` is a multiple of the width; every
+//!    other block takes the scalar transposing loop.
 //! 3. **Register-tile multiply**, with the tile picked at run time: on
 //!    x86-64 CPUs that report AVX-512F, an explicit `std::arch` tile keeps
 //!    one zmm register of slices times 8 factor columns in 8 accumulators
 //!    (one vector load, eight broadcast FMAs per factor row). Elsewhere,
-//!    and for the slices and columns at a block's edge, the portable
+//!    and for the partial slice block at a range's edge, the portable
 //!    [`RK`]`×`[`RQ`] tile runs: `mul_add` over the factor's `P` rows with
 //!    bounds checks hoisted out of the loop. Both compute every output
 //!    element as one in-order FMA chain over `p` starting from zero, so
@@ -32,6 +35,30 @@
 //!    4 of the emulated kernel — consecutive tile results are consecutive
 //!    output elements, so the scatter is one contiguous store per factor
 //!    column (a single 512-bit store in the wide tile).
+//!
+//! **Group steps** (paper §4.2 fusion, on the CPU). [`Workspace::new`]
+//! cuts the factor chain, in execution order, into stages. A run of
+//! `k >= 2` consecutive factors becomes one group step when every local
+//! intermediate of the run (its `∏P`, then each partial `∏Q·∏P`) fits
+//! a budget of 1024 elements per lane, and both the outer slice count
+//! `O = K_in/∏P` and `∏P` itself are multiples of the 512-bit lane width
+//! (16 for f32, 8 for f64); every other factor stays a single step as
+//! above. A group step handles `width` consecutive outer slices at a
+//! time: it packs their `width × ∏P` inputs lane-major with the
+//! in-register transpose, applies the `k` sliced multiplies to vectors
+//! held in two uninitialized stack buffers with the same broadcast-FMA
+//! tile, and stores each vector of the last multiply straight to output
+//! column `qidx·O + o0` — the [`fused_output_col`] map with `O` slices.
+//! A run thus costs one memory pass and one pack instead of `k`. The
+//! budget keeps both buffers at 64 KB (1024 vectors of 512 bits each),
+//! small enough to stay in the L2 cache and well inside a default 2 MB
+//! thread stack; never zeroing them keeps a group step's set-up cost at
+//! a stack-pointer move. The lane conditions keep every block full and
+//! let every block's pack run as whole `width × width` transposes.
+//! Each lane still computes every output as one in-order FMA chain from
+//! zero with intermediates rounded to `T`, so grouped and single-step
+//! execution agree bit for bit. Hosts without AVX-512F run single steps
+//! only.
 //!
 //! Rows of the problem are independent, so the whole factor chain is
 //! parallelized by partitioning rows into tiles and running each tile's
@@ -44,14 +71,17 @@
 //! When the problem has fewer rows than the host has threads (the paper's
 //! Table 3/4 small-M shapes), row tiles alone cannot use the machine. The
 //! **wide mode** then splits the *slice range within each row* across
-//! threads as well: every factor step becomes one pool broadcast over a
+//! threads as well: every stage becomes one pool broadcast over a
 //! `rows × column-groups` grid, with the broadcast's completion acting as
-//! the inter-step barrier. Each task computes slices `[s_lo, s_hi)` of its
-//! row and scatters to the same `q·S + s` output columns the serial path
-//! uses, so the two modes are numerically identical (pinned by a proptest).
-//! Slice ranges are cut in whole blocks of the running tile, so only the
-//! last range of a row reaches the edge tiles.
+//! the inter-stage barrier (a group step broadcasts once for its whole
+//! run). Each task computes slices `[s_lo, s_hi)` of its row (outer
+//! slices, for a group step) and scatters to the same output columns the
+//! serial path uses, so the two modes are numerically identical (pinned
+//! by a proptest). Ranges are cut in whole blocks of the running tile, so
+//! only the last range of a row reaches the edge tiles, and a group
+//! step's ranges are whole lane blocks.
 
+use kron_core::shape::IterationShape;
 use kron_core::{Element, KronError, KronProblem, Matrix, Result};
 use rayon::ThreadPool;
 use std::any::TypeId;
@@ -83,6 +113,18 @@ const PANEL_MAX_P: usize = 160;
 /// dominated by thread dispatch otherwise.
 const MIN_PAR_FLOPS: u64 = 1 << 15;
 
+/// Per-lane element budget of a group step's local intermediates: a run's
+/// input block (`∏P`) and every partial product it forms (`∏Q·∏P`) must
+/// each fit. The group kernel holds two ping-pong buffers of this many
+/// 512-bit vectors (2 × 64 KB) uninitialized on the stack of the thread
+/// that runs it, so the intermediates of a run never touch the workspace
+/// buffers.
+const GROUP_BUDGET: usize = 1024;
+
+/// Most factors one group step fuses. `P = 1` factors do not grow `∏P`, so
+/// the budget alone would not bound a run's length.
+const GROUP_MAX_LEN: usize = 10;
+
 /// Output column a sliced multiply writes slice `s` of factor column `q`
 /// to: `q·S + s` where `S` is the slice count (`K/P`).
 ///
@@ -96,23 +138,100 @@ pub fn fused_output_col(q: usize, slices: usize, s: usize) -> usize {
 }
 
 /// Reusable execution state for one [`KronProblem`]: two ping-pong buffers
-/// sized once at construction.
+/// sized once at construction, and the plan that cuts the factor chain
+/// into single steps and group steps (see the module docs).
 ///
 /// Create once, call [`Workspace::execute`] or [`Workspace::execute_into`]
 /// many times; after construction the fused path performs **zero heap
 /// allocations per factor step** (asserted by a counting-allocator test).
 /// Parallel dispatch goes to the persistent global [`ThreadPool`], whose
 /// boxing-free task handoff keeps even multi-threaded executes
-/// allocation-free once the pool's queue is warm.
+/// allocation-free once the pool's queue is warm. A group step keeps its
+/// intermediates in about 130 KB of stack on the thread that runs it,
+/// which a default 2 MB thread stack holds.
 pub struct Workspace<T> {
     problem: KronProblem,
     /// Row stride of both buffers (`max_intermediate_cols`).
     stride: usize,
     buf_a: Vec<T>,
     buf_b: Vec<T>,
+    /// The 512-bit tile this host runs for `T`, if any.
+    tile: Option<WideTile>,
+    /// The factor chain cut into single steps and group steps, in
+    /// execution order (see [`plan_stages`]).
+    stages: Vec<Stage>,
     /// Forced `(row_groups, col_groups)` decomposition; `None` auto-selects
     /// from the pool width and problem size.
     partition: Option<(usize, usize)>,
+}
+
+/// One unit of the execution order: `len` consecutive factors starting at
+/// execution step `first` (step 0 multiplies the last factor). `len == 1`
+/// is a single sliced multiply; `len >= 2` is a group step, which applies
+/// all `len` multiplies to a block of outer slices held in registers and
+/// stack buffers and writes memory once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Stage {
+    first: usize,
+    len: usize,
+}
+
+/// Cuts the factor chain of `problem`, in execution order, into stages.
+/// A run of `k >= 2` consecutive factors becomes one group step only when
+/// every local intermediate of the run (its `∏P`, then each partial
+/// `∏Q·∏P`) fits [`GROUP_BUDGET`] and both `∏P` and the outer slice count
+/// `O = K_in / ∏P` are multiples of `lanes`, so every block of `lanes`
+/// outer slices is full and packs as whole transposes. From the first
+/// factor that has not been placed, the longest run that fits is taken
+/// (a shorter prefix may fail the `∏P` condition where a longer one
+/// holds); every other factor stays a single step.
+/// `lanes` is `None` where no 512-bit tile runs, and then every factor is
+/// a single step.
+fn plan_stages(problem: &KronProblem, lanes: Option<usize>) -> Vec<Stage> {
+    let its: Vec<_> = problem.iterations().collect();
+    let mut stages = Vec::new();
+    let mut first = 0;
+    while first < its.len() {
+        let longest = GROUP_MAX_LEN.min(its.len() - first);
+        let len = lanes
+            .and_then(|lanes| {
+                (2..=longest)
+                    .rev()
+                    .find(|&len| run_fits(&its[first..first + len], lanes))
+            })
+            .unwrap_or(1);
+        stages.push(Stage { first, len });
+        first += len;
+    }
+    stages
+}
+
+/// Whether `run` (consecutive iterations, execution order) may form one
+/// group step at `lanes` outer slices per block.
+fn run_fits(run: &[IterationShape], lanes: usize) -> bool {
+    let Some(block) = run
+        .iter()
+        .try_fold(1usize, |acc, it| acc.checked_mul(it.factor.p))
+    else {
+        return false;
+    };
+    if block > GROUP_BUDGET
+        || !block.is_multiple_of(lanes)
+        || !(run[0].input_cols / block).is_multiple_of(lanes)
+    {
+        return false;
+    }
+    // After each step the local row holds the Q's applied so far times
+    // the P's still to come.
+    let mut local = block;
+    run.iter()
+        .all(|it| match (local / it.factor.p).checked_mul(it.factor.q) {
+            Some(next) if next <= GROUP_BUDGET => {
+                local = next;
+                true
+            }
+            _ => false,
+        })
 }
 
 /// How one execute is decomposed across the worker pool.
@@ -149,11 +268,14 @@ impl<T: Element> Workspace<T> {
         } else {
             (0, 0)
         };
+        let tile = WideTile::select::<T>();
         Workspace {
             problem: problem.clone(),
             stride,
             buf_a: vec![T::ZERO; elems],
             buf_b: vec![T::ZERO; elems],
+            tile,
+            stages: plan_stages(problem, tile.map(WideTile::slices)),
             partition: None,
         }
     }
@@ -255,7 +377,12 @@ impl<T: Element> Workspace<T> {
         let stride = self.stride;
 
         // Execution order: last factor first (Algorithm 1 line 5).
-        let chain = Chain { factors, k0 };
+        let chain = Chain {
+            factors,
+            stages: &self.stages,
+            tile: self.tile,
+            k0,
+        };
 
         match self.mode(rows) {
             ExecMode::Serial => run_tile(
@@ -286,7 +413,18 @@ impl<T: Element> Workspace<T> {
             ExecMode::Wide {
                 row_groups,
                 col_groups,
-            } => self.run_wide(chain, x, y, rows, l, row_groups, col_groups),
+            } => run_wide(
+                chain,
+                x,
+                y,
+                &mut self.buf_a,
+                &mut self.buf_b,
+                stride,
+                rows,
+                l,
+                row_groups,
+                col_groups,
+            ),
         }
     }
 
@@ -326,94 +464,6 @@ impl<T: Element> Workspace<T> {
                     col_groups,
                 }
             }
-        }
-    }
-
-    /// Wide mode: one pool broadcast per factor step over a
-    /// `row_groups × col_groups` grid, each task computing the slice range
-    /// `[s_lo, s_hi)` of its rows. The broadcast's completion is the
-    /// barrier that lets the next step consume this step's output.
-    #[allow(clippy::too_many_arguments)]
-    fn run_wide(
-        &mut self,
-        chain: Chain<'_, T>,
-        x: &[T],
-        y: &mut [T],
-        rows: usize,
-        l: usize,
-        row_groups: usize,
-        col_groups: usize,
-    ) {
-        let stride = self.stride;
-        let n = chain.factors.len();
-        let pool = ThreadPool::global();
-        let mut k_in = chain.k0;
-        let mut cur = self.buf_a.as_mut_ptr();
-        let mut nxt = self.buf_b.as_mut_ptr();
-        let width = block_slices(WideTile::select::<T>());
-        for (step, f) in chain.factors.iter().rev().enumerate() {
-            let (p, q) = (f.rows(), f.cols());
-            debug_assert!(p > 0 && k_in.is_multiple_of(p));
-            let slices = k_in / p;
-            let k_out = slices * q;
-            let first = step == 0;
-            let last = step + 1 == n;
-            let (src, src_stride) = if first {
-                (x.as_ptr(), chain.k0)
-            } else {
-                (cur as *const T, stride)
-            };
-            // Mirrors `run_tile`'s buffer selection: the first step fills
-            // `cur`, middle steps write `nxt` and swap, the last streams
-            // into `Y`.
-            let (dst, dst_stride) = if last {
-                (y.as_mut_ptr(), l)
-            } else if first {
-                (cur, stride)
-            } else {
-                (nxt, stride)
-            };
-
-            let rows_per = rows.div_ceil(row_groups);
-            let row_tasks = rows.div_ceil(rows_per);
-            // Column chunks are whole packed blocks of the tile that will
-            // run, so only the last chunk of a row reaches the edge tiles.
-            let s_chunk = slices.div_ceil(col_groups).div_ceil(width) * width;
-            let col_tasks = slices.div_ceil(s_chunk);
-
-            let srcp = ConstPtr(src);
-            let dstp = MutPtr(dst);
-            let f_data = f.as_slice();
-            pool.broadcast(row_tasks * col_tasks, &|t| {
-                let rg = t / col_tasks;
-                let cg = t % col_tasks;
-                let r0 = rg * rows_per;
-                let nr = rows_per.min(rows - r0);
-                let s_lo = cg * s_chunk;
-                let s_hi = (s_lo + s_chunk).min(slices);
-                let mut panel = uninit_panel();
-                for r in r0..r0 + nr {
-                    // SAFETY: tasks partition the (row, slice-range) grid
-                    // disjointly; reads from `src` are shared, writes go to
-                    // output columns `q·S + s` with `s ∈ [s_lo, s_hi)`,
-                    // which no other task touches. The broadcast barrier
-                    // sequences this step's writes before the next step's
-                    // reads.
-                    unsafe {
-                        let x_row =
-                            std::slice::from_raw_parts(srcp.ptr().add(r * src_stride), k_in);
-                        let out_row = dstp.ptr().add(r * dst_stride);
-                        sliced_multiply_row_range(
-                            x_row, f_data, p, q, slices, s_lo, s_hi, out_row, &mut panel,
-                        );
-                    }
-                }
-            });
-
-            if !first && !last {
-                std::mem::swap(&mut cur, &mut nxt);
-            }
-            k_in = k_out;
         }
     }
 
@@ -589,8 +639,109 @@ struct Chain<'a, T> {
     /// Factors in Kronecker-product order (`F1` first); iterated in
     /// reverse, as Algorithm 1 prescribes.
     factors: &'a [&'a Matrix<T>],
+    /// The workspace's stage plan over `factors`.
+    stages: &'a [Stage],
+    /// The 512-bit tile this host runs for `T`, if any.
+    tile: Option<WideTile>,
     /// Input columns (`∏Pᵢ`).
     k0: usize,
+}
+
+impl<'a, T: Element> Chain<'a, T> {
+    /// `stage` resolved against its factors and its input width `k_in`.
+    fn step(&self, stage: Stage, k_in: usize) -> StageStep<'a, T> {
+        let n = self.factors.len();
+        let factors = &self.factors[n - stage.first - stage.len..n - stage.first];
+        let (prod_p, prod_q) = factors
+            .iter()
+            .fold((1, 1), |(p, q), f| (p * f.rows(), q * f.cols()));
+        debug_assert!(prod_p > 0 && k_in.is_multiple_of(prod_p));
+        let units = k_in / prod_p;
+        StageStep {
+            factors,
+            tile: self.tile,
+            k_in,
+            k_out: units * prod_q,
+            units,
+            // A group step's blocks are one vector of outer slices: the
+            // tile's width too.
+            width: block_slices(self.tile),
+        }
+    }
+}
+
+/// One stage of the chain, resolved for execution.
+#[derive(Clone, Copy)]
+struct StageStep<'a, T> {
+    /// The stage's factors in Kronecker order; they run last first.
+    factors: &'a [&'a Matrix<T>],
+    /// The 512-bit tile this host runs for `T`, if any. A group step
+    /// always has one.
+    tile: Option<WideTile>,
+    /// Row width the stage reads.
+    k_in: usize,
+    /// Row width the stage writes.
+    k_out: usize,
+    /// Independent units a row splits into: slices (`K_in / P`) for a
+    /// single step, outer slices (`K_in / ∏P`) for a group step.
+    units: usize,
+    /// Units per packed block; wide mode cuts unit ranges in whole blocks.
+    width: usize,
+}
+
+impl<T: Element> StageStep<'_, T> {
+    /// Runs the whole stage on one row.
+    fn row(&self, x: &[T], out: &mut [T], panel: &mut Panel<T>) {
+        debug_assert!(x.len() >= self.k_in && out.len() >= self.k_out);
+        // SAFETY: `out` is an exclusive borrow covering the row's `k_out`
+        // writes, and the full unit range is computed by this one call.
+        unsafe { self.run_range(x, 0, self.units, out.as_mut_ptr(), panel) }
+    }
+
+    /// Computes units `[lo, hi)` of one row.
+    ///
+    /// # Safety
+    /// `x` holds at least `k_in` elements, `lo <= hi <= units`, `out` is
+    /// valid for `k_out` element writes, and no other thread concurrently
+    /// touches the output elements of units `[lo, hi)`. For a group step
+    /// `lo` and `hi` are multiples of `width`.
+    unsafe fn run_range(&self, x: &[T], lo: usize, hi: usize, out: *mut T, panel: &mut Panel<T>) {
+        match (self.factors, self.tile) {
+            ([f], tile) => {
+                // SAFETY: this function's contract with `slices = units`,
+                // and `tile` is `select::<T>()`.
+                unsafe {
+                    sliced_multiply_row_range(
+                        tile,
+                        x,
+                        f.as_slice(),
+                        f.rows(),
+                        f.cols(),
+                        self.units,
+                        lo,
+                        hi,
+                        out,
+                        panel,
+                    )
+                }
+            }
+            // SAFETY: the plan formed this group (so `tile` is
+            // `select::<T>()`, the run fits the budget and its `∏P` is a
+            // multiple of the lanes), and the range and output contract
+            // are this function's own.
+            (factors, Some(tile)) => unsafe {
+                tile.group(
+                    &x[..self.k_in],
+                    factors,
+                    self.k_in / self.units,
+                    lo,
+                    hi,
+                    out,
+                )
+            },
+            (_, None) => unreachable!("group steps are planned only where a 512-bit tile runs"),
+        }
+    }
 }
 
 /// One row tile's disjoint slices of every buffer an execute touches.
@@ -640,6 +791,88 @@ impl<T> MutPtr<T> {
     /// See [`ConstPtr::ptr`].
     fn ptr(self) -> *mut T {
         self.0
+    }
+}
+
+/// Wide mode: one pool broadcast per stage over a
+/// `row_groups × col_groups` grid, each task computing the unit range
+/// `[lo, hi)` of its rows (slices of a single step, outer slices of a
+/// group step). The broadcast's completion is the barrier that lets
+/// the next stage consume this stage's output.
+#[allow(clippy::too_many_arguments)]
+fn run_wide<T: Element>(
+    chain: Chain<'_, T>,
+    x: &[T],
+    y: &mut [T],
+    buf_a: &mut [T],
+    buf_b: &mut [T],
+    stride: usize,
+    rows: usize,
+    l: usize,
+    row_groups: usize,
+    col_groups: usize,
+) {
+    let n = chain.stages.len();
+    let pool = ThreadPool::global();
+    let mut k_in = chain.k0;
+    let mut cur = buf_a.as_mut_ptr();
+    let mut nxt = buf_b.as_mut_ptr();
+    for (i, &stage) in chain.stages.iter().enumerate() {
+        let step = chain.step(stage, k_in);
+        let first = i == 0;
+        let last = i + 1 == n;
+        let (src, src_stride) = if first {
+            (x.as_ptr(), chain.k0)
+        } else {
+            (cur as *const T, stride)
+        };
+        // Mirrors `run_tile`'s buffer selection: the first stage fills
+        // `cur`, middle stages write `nxt` and swap, the last streams
+        // into `Y`.
+        let (dst, dst_stride) = if last {
+            (y.as_mut_ptr(), l)
+        } else if first {
+            (cur, stride)
+        } else {
+            (nxt, stride)
+        };
+
+        let rows_per = rows.div_ceil(row_groups);
+        let row_tasks = rows.div_ceil(rows_per);
+        // Unit chunks are whole packed blocks of the kernel that will
+        // run, so only the last chunk of a row reaches the edge tiles
+        // (and a group step's chunks are whole lane blocks).
+        let u_chunk = step.units.div_ceil(col_groups).div_ceil(step.width) * step.width;
+        let col_tasks = step.units.div_ceil(u_chunk);
+
+        let srcp = ConstPtr(src);
+        let dstp = MutPtr(dst);
+        pool.broadcast(row_tasks * col_tasks, &|t| {
+            let rg = t / col_tasks;
+            let cg = t % col_tasks;
+            let r0 = rg * rows_per;
+            let nr = rows_per.min(rows - r0);
+            let lo = cg * u_chunk;
+            let hi = (lo + u_chunk).min(step.units);
+            let mut panel = uninit_panel();
+            for r in r0..r0 + nr {
+                // SAFETY: tasks partition the (row, unit-range) grid
+                // disjointly; reads from `src` are shared, writes go to
+                // the output columns of units `[lo, hi)` only, which no
+                // other task touches. The broadcast barrier sequences
+                // this stage's writes before the next stage's reads.
+                unsafe {
+                    let x_row =
+                        std::slice::from_raw_parts(srcp.ptr().add(r * src_stride), step.k_in);
+                    step.run_range(x_row, lo, hi, dstp.ptr().add(r * dst_stride), &mut panel);
+                }
+            }
+        });
+
+        if !first && !last {
+            std::mem::swap(&mut cur, &mut nxt);
+        }
+        k_in = step.k_out;
     }
 }
 
@@ -703,60 +936,31 @@ fn run_tile<T: Element>(chain: Chain<'_, T>, bufs: TileBuffers<'_, T>) {
         rows,
         l,
     } = bufs;
-    // One packed-panel buffer per tile, reused by every row and factor
-    // step; the pack loop writes the whole `p·rk` region a tile reads.
+    // One packed-panel buffer per tile, reused by every row and stage;
+    // the pack loop writes the whole `p·rk` region a tile reads.
     let mut panel = uninit_panel();
-    let n = chain.factors.len();
+    let n = chain.stages.len();
     let (mut cur, mut nxt) = (a, b);
     let mut k_in = chain.k0;
-    for (step, f) in chain.factors.iter().rev().enumerate() {
-        let (p, q) = (f.rows(), f.cols());
-        debug_assert!(p > 0 && k_in.is_multiple_of(p));
-        let slices = k_in / p;
-        let k_out = slices * q;
-        let f_data = f.as_slice();
-        let first = step == 0;
-        let last = step + 1 == n;
+    for (i, &stage) in chain.stages.iter().enumerate() {
+        let step = chain.step(stage, k_in);
+        let k_out = step.k_out;
+        let first = i == 0;
+        let last = i + 1 == n;
         for r in 0..rows {
             // Distinct source/destination buffers in every arm, so the
             // borrows never alias.
+            let xr = r * chain.k0..r * chain.k0 + k_in;
+            let yr = r * l..r * l + k_out;
+            let (sr, dr) = (
+                r * stride..r * stride + k_in,
+                r * stride..r * stride + k_out,
+            );
             match (first, last) {
-                (true, true) => sliced_multiply_row(
-                    &x[r * chain.k0..r * chain.k0 + k_in],
-                    f_data,
-                    p,
-                    q,
-                    slices,
-                    &mut y[r * l..r * l + k_out],
-                    &mut panel,
-                ),
-                (true, false) => sliced_multiply_row(
-                    &x[r * chain.k0..r * chain.k0 + k_in],
-                    f_data,
-                    p,
-                    q,
-                    slices,
-                    &mut cur[r * stride..r * stride + k_out],
-                    &mut panel,
-                ),
-                (false, true) => sliced_multiply_row(
-                    &cur[r * stride..r * stride + k_in],
-                    f_data,
-                    p,
-                    q,
-                    slices,
-                    &mut y[r * l..r * l + k_out],
-                    &mut panel,
-                ),
-                (false, false) => sliced_multiply_row(
-                    &cur[r * stride..r * stride + k_in],
-                    f_data,
-                    p,
-                    q,
-                    slices,
-                    &mut nxt[r * stride..r * stride + k_out],
-                    &mut panel,
-                ),
+                (true, true) => step.row(&x[xr], &mut y[yr], &mut panel),
+                (true, false) => step.row(&x[xr], &mut cur[dr], &mut panel),
+                (false, true) => step.row(&cur[sr], &mut y[yr], &mut panel),
+                (false, false) => step.row(&cur[sr], &mut nxt[dr], &mut panel),
             }
         }
         if !first && !last {
@@ -769,12 +973,28 @@ fn run_tile<T: Element>(chain: Chain<'_, T>, bufs: TileBuffers<'_, T>) {
 /// A packed-panel buffer: room for a `P × width` slice block up to
 /// [`PANEL_MAX_P`] rows and [`PANEL_SLICES`] slices. It is never zeroed;
 /// each block's pack loop writes exactly the `p·width` prefix its tiles
-/// read before they read it.
-type Panel<T> = [MaybeUninit<T>; PANEL_SLICES * PANEL_MAX_P];
+/// read before they read it. Cache-line aligned, so each 512-bit panel
+/// row the wide tile loads is one aligned line rather than two halves.
+#[repr(C, align(64))]
+struct Panel<T>([MaybeUninit<T>; PANEL_SLICES * PANEL_MAX_P]);
+
+impl<T> std::ops::Deref for Panel<T> {
+    type Target = [MaybeUninit<T>; PANEL_SLICES * PANEL_MAX_P];
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl<T> std::ops::DerefMut for Panel<T> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
+}
 
 /// A panel with no initialization cost.
 fn uninit_panel<T>() -> Panel<T> {
-    [const { MaybeUninit::uninit() }; PANEL_SLICES * PANEL_MAX_P]
+    Panel([const { MaybeUninit::uninit() }; PANEL_SLICES * PANEL_MAX_P])
 }
 
 /// The 512-bit register tile this host runs for an element type. On
@@ -814,60 +1034,148 @@ impl WideTile {
     fn slices(self) -> usize {
         match self {
             #[cfg(target_arch = "x86_64")]
-            WideTile::F32 => avx512::F32_SLICES,
+            WideTile::F32 => avx512::f32x::LANES,
             #[cfg(target_arch = "x86_64")]
-            WideTile::F64 => avx512::F64_SLICES,
+            WideTile::F64 => avx512::f64x::LANES,
         }
     }
 
-    /// Runs the tile on columns `[q0, q0 + WQ)` of a packed block of
+    /// Runs the tile on every column of a packed block of
     /// [`WideTile::slices`] slices starting at slice `s0`.
     ///
     /// # Safety
     /// `self` came from [`WideTile::select::<T>`] (so `T` is the tile's
     /// element type and the CPU has AVX-512F), `panel.len() >= p·slices()`,
-    /// `f.len() >= p·q`, `q0 + WQ <= q`, `s0 + slices() <= slices`, and
-    /// `out` is valid for `slices·q` element writes with the written
-    /// columns owned by this thread.
+    /// `f.len() >= p·q`, `s0 + slices() <= slices`, and `out` is valid
+    /// for `slices·q` element writes with the written columns owned by
+    /// this thread.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    unsafe fn run<T: Element>(
+    unsafe fn columns<T: Element>(
         self,
         panel: &[T],
         f: &[T],
         p: usize,
         q: usize,
-        q0: usize,
         s0: usize,
         slices: usize,
         out: *mut T,
     ) {
         debug_assert!(panel.len() >= p * self.slices() && f.len() >= p * q);
-        match self {
-            #[cfg(target_arch = "x86_64")]
-            WideTile::F32 => avx512::tile_f32(
-                panel.as_ptr().cast(),
-                f.as_ptr().cast(),
-                p,
-                q,
-                q0,
-                s0,
-                slices,
-                out.cast(),
-            ),
-            #[cfg(target_arch = "x86_64")]
-            WideTile::F64 => avx512::tile_f64(
-                panel.as_ptr().cast(),
-                f.as_ptr().cast(),
-                p,
-                q,
-                q0,
-                s0,
-                slices,
-                out.cast(),
-            ),
+        // SAFETY: the caller's contract; column `c`'s block of results
+        // starts at `fused_output_col(c, slices, s0)`, i.e. `out + s0` at
+        // column stride `slices`.
+        unsafe {
+            match self {
+                #[cfg(target_arch = "x86_64")]
+                WideTile::F32 => avx512::f32x::columns(
+                    panel.as_ptr().cast(),
+                    f.as_ptr().cast(),
+                    p,
+                    q,
+                    out.add(s0).cast(),
+                    slices,
+                ),
+                #[cfg(target_arch = "x86_64")]
+                WideTile::F64 => avx512::f64x::columns(
+                    panel.as_ptr().cast(),
+                    f.as_ptr().cast(),
+                    p,
+                    q,
+                    out.add(s0).cast(),
+                    slices,
+                ),
+            }
         }
     }
+
+    /// Lane-major pack: vector `j < count` of `dst` gets lane `i` from
+    /// `src[i·stride + j]`, for `i` below [`WideTile::slices`].
+    ///
+    /// # Safety
+    /// `self` came from [`WideTile::select::<T>`], `count` is a multiple
+    /// of [`WideTile::slices`], `src` is valid for reads at every
+    /// `i·stride + j`, and `dst` for `count·slices()` element writes.
+    #[inline(always)]
+    unsafe fn pack<T: Element>(self, src: *const T, stride: usize, count: usize, dst: *mut T) {
+        // SAFETY: the caller's contract.
+        unsafe {
+            match self {
+                #[cfg(target_arch = "x86_64")]
+                WideTile::F32 => avx512::f32x::pack(src.cast(), stride, count, dst.cast()),
+                #[cfg(target_arch = "x86_64")]
+                WideTile::F64 => avx512::f64x::pack(src.cast(), stride, count, dst.cast()),
+            }
+        }
+    }
+
+    /// Group step: applies `factors` (Kronecker order, run last first) to
+    /// the outer slices `[o_lo, o_hi)` of one row made of `x.len() / block`
+    /// outer slices of `block = ∏P` elements, one block of
+    /// [`WideTile::slices`] outer slices at a time.
+    ///
+    /// # Safety
+    /// `self` came from [`WideTile::select::<T>`]; `factors` is a run
+    /// [`plan_stages`] formed (at most [`GROUP_MAX_LEN`] factors whose
+    /// local intermediates fit [`GROUP_BUDGET`]) and `block` is its `∏P`,
+    /// a multiple of `slices()`;
+    /// `o_lo` and `o_hi <= outer` are multiples of `slices()`; `out` is
+    /// valid for `outer·∏Q` element writes, and no other thread touches
+    /// the output columns `qidx·outer + o`, `o ∈ [o_lo, o_hi)`.
+    #[inline(always)]
+    unsafe fn group<T: Element>(
+        self,
+        x: &[T],
+        factors: &[&Matrix<T>],
+        block: usize,
+        o_lo: usize,
+        o_hi: usize,
+        out: *mut T,
+    ) {
+        debug_assert!(factors.len() <= GROUP_MAX_LEN);
+        // The run in execution order, as raw factor descriptors.
+        let mut run = [(std::ptr::null::<T>(), 0, 0); GROUP_MAX_LEN];
+        for (d, f) in run.iter_mut().zip(factors.iter().rev()) {
+            *d = (f.as_slice().as_ptr(), f.rows(), f.cols());
+        }
+        let run = &run[..factors.len()];
+        let outer = x.len() / block;
+        debug_assert!(block <= GROUP_BUDGET && o_hi <= outer);
+        // SAFETY: the caller's contract, with the factor pointers valid
+        // for `p·q` reads each.
+        unsafe {
+            match self {
+                #[cfg(target_arch = "x86_64")]
+                WideTile::F32 => avx512::f32x::group(
+                    x.as_ptr().cast(),
+                    run_cast(run),
+                    block,
+                    outer,
+                    o_lo,
+                    o_hi,
+                    out.cast(),
+                ),
+                #[cfg(target_arch = "x86_64")]
+                WideTile::F64 => avx512::f64x::group(
+                    x.as_ptr().cast(),
+                    run_cast(run),
+                    block,
+                    outer,
+                    o_lo,
+                    o_hi,
+                    out.cast(),
+                ),
+            }
+        }
+    }
+}
+
+/// A run's factor descriptors with the element pointer cast to `U`.
+#[cfg(target_arch = "x86_64")]
+fn run_cast<T, U>(run: &[(*const T, usize, usize)]) -> &[(*const U, usize, usize)] {
+    // SAFETY: `(*const T, usize, usize)` and `(*const U, usize, usize)`
+    // have the same layout (thin pointers of equal size and alignment).
+    unsafe { std::slice::from_raw_parts(run.as_ptr().cast(), run.len()) }
 }
 
 /// Slices per packed block: the wide tile's width when one runs, else
@@ -893,9 +1201,11 @@ fn sliced_multiply_row<T: Element>(
     panel: &mut Panel<T>,
 ) {
     debug_assert!(out.len() >= slices * q);
+    let (wide, out) = (WideTile::select::<T>(), out.as_mut_ptr());
     // SAFETY: `out` is an exclusive borrow covering all `slices·q` writes,
-    // and the full slice range is computed by this one call.
-    unsafe { sliced_multiply_row_range(x, f, p, q, slices, 0, slices, out.as_mut_ptr(), panel) }
+    // the full slice range is computed by this one call, and `wide` is
+    // `select::<T>()`.
+    unsafe { sliced_multiply_row_range(wide, x, f, p, q, slices, 0, slices, out, panel) }
 }
 
 /// The slice-range form of [`sliced_multiply_row`]: computes only slices
@@ -903,51 +1213,17 @@ fn sliced_multiply_row<T: Element>(
 /// This is the unit the wide execution mode hands to each pool task —
 /// several tasks write *interleaved but disjoint* columns of the same row,
 /// which is why `out` is a raw base pointer rather than `&mut [T]`.
+/// `wide` is the 512-bit tile to run; `None` runs only the portable tile
+/// (the bit-identity test compares the two).
 ///
 /// # Safety
-/// `out` must be valid for `slices·q` element writes, `x` must hold at
-/// least `s_hi·p` elements, `f` at least `p·q`, `s_lo ≤ s_hi ≤ slices`,
-/// and no other thread may concurrently touch the output elements
+/// `wide` is `None` or the result of [`WideTile::select::<T>`]; `out`
+/// must be valid for `slices·q` element writes, `x` must hold at least
+/// `s_hi·p` elements, `f` at least `p·q`, `s_lo ≤ s_hi ≤ slices`, and no
+/// other thread may concurrently touch the output elements
 /// `{q·slices + s | s ∈ [s_lo, s_hi), q ∈ [0, q)}`.
 #[allow(clippy::too_many_arguments)]
 unsafe fn sliced_multiply_row_range<T: Element>(
-    x: &[T],
-    f: &[T],
-    p: usize,
-    q: usize,
-    slices: usize,
-    s_lo: usize,
-    s_hi: usize,
-    out: *mut T,
-    panel: &mut Panel<T>,
-) {
-    // SAFETY: this function's contract, forwarded unchanged, plus a tile
-    // from `select::<T>()` as the `_with` form requires.
-    unsafe {
-        sliced_multiply_row_range_with(
-            WideTile::select::<T>(),
-            x,
-            f,
-            p,
-            q,
-            slices,
-            s_lo,
-            s_hi,
-            out,
-            panel,
-        )
-    }
-}
-
-/// [`sliced_multiply_row_range`] with the wide tile chosen by the caller;
-/// `None` runs only the portable tile (the bit-identity test compares the
-/// two).
-///
-/// # Safety
-/// The contract of [`sliced_multiply_row_range`], and `wide` is `None` or
-/// the result of [`WideTile::select::<T>`].
-#[allow(clippy::too_many_arguments)]
-unsafe fn sliced_multiply_row_range_with<T: Element>(
     wide: Option<WideTile>,
     x: &[T],
     f: &[T],
@@ -972,38 +1248,49 @@ unsafe fn sliced_multiply_row_range_with<T: Element>(
         let rk = width.min(s_hi - s0);
         // Packed panel: panel[pi·rk + i] holds x[(s0+i)·P + pi], i.e. the
         // slice block transposed so the multiply reads unit-stride in `i`.
-        for i in 0..rk {
-            let slice = &x[(s0 + i) * p..(s0 + i) * p + p];
-            for (pi, &v) in slice.iter().enumerate() {
-                panel[pi * rk + i] = MaybeUninit::new(v);
+        // Full blocks whose `P` is a multiple of the lanes pack with the
+        // in-register transpose; the rest take the scalar loop.
+        match wide.filter(|_| rk == width && p.is_multiple_of(width)) {
+            // SAFETY: `tile` is `select::<T>()` (caller contract), `p` is
+            // a multiple of its lanes; the pack reads `x[(s0+i)·p + pi]`
+            // for `i < width`, `pi < p`, all below `s_hi·p <= x.len()`,
+            // and writes the `p·width <= PANEL_MAX_P·PANEL_SLICES`
+            // elements at the panel's start.
+            Some(tile) => unsafe {
+                tile.pack(x.as_ptr().add(s0 * p), p, p, panel.as_mut_ptr().cast())
+            },
+            None => {
+                for i in 0..rk {
+                    let slice = &x[(s0 + i) * p..(s0 + i) * p + p];
+                    for (pi, &v) in slice.iter().enumerate() {
+                        panel[pi * rk + i] = MaybeUninit::new(v);
+                    }
+                }
             }
         }
-        // SAFETY: the loop above wrote index `pi·rk + i` for every
+        // SAFETY: the pack above wrote index `pi·rk + i` for every
         // `pi < p`, `i < rk`, i.e. all of `[0, p·rk)`, and `p·rk` fits the
         // panel because `p <= PANEL_MAX_P` and `rk <= PANEL_SLICES`.
         let packed = unsafe { std::slice::from_raw_parts(panel.as_ptr().cast::<T>(), p * rk) };
-        // Full blocks go to the wide tile, 8 columns at a time; the
-        // portable tile takes the remainder columns and partial blocks.
-        let mut q_wide = 0;
-        if let Some(tile) = wide.filter(|_| rk == width) {
-            q_wide = q - q % WQ;
-            for q0 in (0..q_wide).step_by(WQ) {
-                // SAFETY: `tile` is `select::<T>()` (caller contract), the
-                // block is full (`packed` holds `p·width`, `s0 + width <=
-                // s_hi <= slices`), `q0 + WQ <= q_wide <= q`, and `out`
-                // and column ownership are this function's own contract.
-                unsafe { tile.run(packed, f, p, q, q0, s0, slices, out) };
-            }
+        // Full blocks go to the wide tile; the portable tile takes
+        // partial blocks.
+        match wide.filter(|_| rk == width) {
+            // SAFETY: `tile` is `select::<T>()` (caller contract), the
+            // block is full (`packed` holds `p·width`, `s0 + width <=
+            // s_hi <= slices`), and `out` and column ownership are this
+            // function's own contract.
+            Some(tile) => unsafe { tile.columns(packed, f, p, q, s0, slices, out) },
+            // SAFETY: `packed` holds `p·rk`, `s0 + rk <= s_hi <= slices`,
+            // and `out` and column ownership are this function's own
+            // contract.
+            None => unsafe { portable_block(packed, rk, f, p, q, s0, slices, out) },
         }
-        // SAFETY: `packed` holds `p·rk`, `s0 + rk <= s_hi <= slices`, and
-        // `out` and column ownership are this function's own contract.
-        unsafe { portable_block(packed, rk, f, p, q, q_wide, s0, slices, out) };
         s0 += rk;
     }
 }
 
-/// Portable [`RK`]`×`[`RQ`] tiles over columns `[q_lo, q)` of a packed
-/// block of `rk` slices starting at slice `s0` (panel row stride `rk`).
+/// Portable [`RK`]`×`[`RQ`] tiles over every column of a packed block of
+/// `rk` slices starting at slice `s0` (panel row stride `rk`).
 ///
 /// # Safety
 /// `panel.len() >= p·rk`, `f.len() >= p·q`, `s0 + rk <= slices`, and `out`
@@ -1017,7 +1304,6 @@ unsafe fn portable_block<T: Element>(
     f: &[T],
     p: usize,
     q: usize,
-    q_lo: usize,
     s0: usize,
     slices: usize,
     out: *mut T,
@@ -1025,7 +1311,7 @@ unsafe fn portable_block<T: Element>(
     for i0 in (0..rk).step_by(RK) {
         let sub = RK.min(rk - i0);
         let sub_panel = &panel[i0..];
-        for q0 in (q_lo..q).step_by(RQ) {
+        for q0 in (0..q).step_by(RQ) {
             let rq = RQ.min(q - q0);
             if sub == RK && rq == RQ {
                 // SAFETY: `sub_panel` starts at slice `i0` of a `p·rk`
@@ -1122,99 +1408,321 @@ unsafe fn edge_tile<T: Element>(
     }
 }
 
-/// The 512-bit register tiles. Each keeps [`WQ`] accumulators of one zmm
-/// register of consecutive slices; per factor row `p` it loads one vector
-/// from the packed panel and issues one FMA per column against a broadcast
-/// of `F[p][q0 + j]`. Lane `i` of accumulator `j` is therefore the same
-/// in-order FMA chain over `p`, starting from zero, that the portable
-/// tile computes for slice `s0 + i`, column `q0 + j`.
+/// The 512-bit kernels, one module per element type generated from one
+/// body: the register tile, the transposing pack and the group step.
+///
+/// The tile keeps `NQ` accumulators of one zmm register of consecutive
+/// slices; per factor row `p` it loads one vector from the packed panel
+/// and issues one FMA per column against a broadcast of `F[p][q0 + j]`.
+/// Lane `i` of accumulator `j` is therefore the same in-order FMA chain
+/// over `p`, starting from zero, that the portable tile computes for slice
+/// `s0 + i`, column `q0 + j`.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::{fused_output_col, WQ};
+    use super::GROUP_BUDGET;
     use std::arch::x86_64::{
-        _mm512_fmadd_pd, _mm512_fmadd_ps, _mm512_loadu_pd, _mm512_loadu_ps, _mm512_set1_pd,
-        _mm512_set1_ps, _mm512_setzero_pd, _mm512_setzero_ps, _mm512_storeu_pd, _mm512_storeu_ps,
+        __m512, __m512d, _mm512_castpd_ps, _mm512_castps_pd, _mm512_fmadd_pd, _mm512_fmadd_ps,
+        _mm512_loadu_pd, _mm512_loadu_ps, _mm512_set1_pd, _mm512_set1_ps, _mm512_setzero_pd,
+        _mm512_setzero_ps, _mm512_shuffle_f32x4, _mm512_shuffle_f64x2, _mm512_storeu_pd,
+        _mm512_storeu_ps, _mm512_unpackhi_pd, _mm512_unpackhi_ps, _mm512_unpacklo_pd,
+        _mm512_unpacklo_ps,
     };
+    use std::mem::MaybeUninit;
 
-    /// Slices per f32 tile: the f32 lanes of one zmm register.
-    pub(super) const F32_SLICES: usize = 16;
+    macro_rules! lane_kernels {
+        (
+            $name:ident, $t:ty, $v:ty, $lanes:literal,
+            $load:ident, $store:ident, $set1:ident, $zero:ident, $fmadd:ident,
+            $transpose:ident
+        ) => {
+            /// Kernels over one zmm register of
+            #[doc = concat!("`", stringify!($t), "`")]
+            /// lanes.
+            pub(super) mod $name {
+                use super::*;
 
-    /// Slices per f64 tile: the f64 lanes of one zmm register.
-    pub(super) const F64_SLICES: usize = 8;
+                /// Lanes of one zmm register.
+                pub(in super::super) const LANES: usize = $lanes;
 
-    const _: () = assert!(F32_SLICES <= super::PANEL_SLICES && F64_SLICES <= super::PANEL_SLICES);
+                /// `LANES` slices × `NQ` columns. Column `q0 + j`'s
+                /// results are stored as one vector at
+                /// `out + (q0 + j)·col_stride`.
+                ///
+                /// # Safety
+                /// The CPU supports AVX-512F; `panel` is valid for
+                /// `p·LANES` reads (row stride `LANES`), `f` for `p·q`
+                /// reads with `q0 + NQ <= q`, and `out` for a vector write
+                /// at each `(q0 + j)·col_stride`, owned by this thread.
+                #[allow(clippy::too_many_arguments)]
+                #[target_feature(enable = "avx512f")]
+                unsafe fn tile<const NQ: usize>(
+                    panel: *const $t,
+                    f: *const $t,
+                    p: usize,
+                    q: usize,
+                    q0: usize,
+                    out: *mut $t,
+                    col_stride: usize,
+                ) {
+                    let mut acc = [$zero(); NQ];
+                    for pi in 0..p {
+                        // SAFETY: `pi < p`, so the `LANES` panel and `NQ`
+                        // factor elements read here are inside the ranges
+                        // the caller guarantees.
+                        unsafe {
+                            let xv = $load(panel.add(pi * LANES));
+                            let fr = f.add(pi * q + q0);
+                            for (j, a) in acc.iter_mut().enumerate() {
+                                *a = $fmadd(xv, $set1(*fr.add(j)), *a);
+                            }
+                        }
+                    }
+                    for (j, a) in acc.into_iter().enumerate() {
+                        // SAFETY: column `q0 + j < q`'s vector slot is
+                        // one the caller guarantees writable.
+                        unsafe { $store(out.add((q0 + j) * col_stride), a) };
+                    }
+                }
 
-    /// 16 f32 slices × [`WQ`] columns.
-    ///
-    /// # Safety
-    /// The CPU supports AVX-512F; `panel` is valid for `p·16` reads (row
-    /// stride 16), `f` for `p·q` reads with `q0 + WQ <= q`, and `out` for
-    /// `slices·q` writes with `s0 + 16 <= slices` and the written columns
-    /// owned by this thread.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn tile_f32(
-        panel: *const f32,
-        f: *const f32,
-        p: usize,
-        q: usize,
-        q0: usize,
-        s0: usize,
-        slices: usize,
-        out: *mut f32,
-    ) {
-        let mut acc = [_mm512_setzero_ps(); WQ];
-        for pi in 0..p {
-            // SAFETY: `pi < p`, so the 16 panel and `WQ` factor elements
-            // read here are inside the ranges the caller guarantees.
-            unsafe {
-                let xv = _mm512_loadu_ps(panel.add(pi * F32_SLICES));
-                let fr = f.add(pi * q + q0);
-                for (j, a) in acc.iter_mut().enumerate() {
-                    *a = _mm512_fmadd_ps(xv, _mm512_set1_ps(*fr.add(j)), *a);
+                /// All `q` columns of one packed slice block: `WQ` at a
+                /// time, then 4, 2 and 1.
+                ///
+                /// # Safety
+                /// As [`tile`], for every column below `q`.
+                #[target_feature(enable = "avx512f")]
+                pub(in super::super) unsafe fn columns(
+                    panel: *const $t,
+                    f: *const $t,
+                    p: usize,
+                    q: usize,
+                    out: *mut $t,
+                    col_stride: usize,
+                ) {
+                    let mut q0 = 0;
+                    // SAFETY: every call covers columns below `q`, the
+                    // caller's contract.
+                    unsafe {
+                        while q0 + super::super::WQ <= q {
+                            tile::<{ super::super::WQ }>(panel, f, p, q, q0, out, col_stride);
+                            q0 += super::super::WQ;
+                        }
+                        if q0 + 4 <= q {
+                            tile::<4>(panel, f, p, q, q0, out, col_stride);
+                            q0 += 4;
+                        }
+                        if q0 + 2 <= q {
+                            tile::<2>(panel, f, p, q, q0, out, col_stride);
+                            q0 += 2;
+                        }
+                        if q0 < q {
+                            tile::<1>(panel, f, p, q, q0, out, col_stride);
+                        }
+                    }
+                }
+
+                /// Lane-major pack: vector `j < count` of `dst` gets
+                /// lane `i` from `src[i·stride + j]`. Each `LANES × LANES`
+                /// block is read as `LANES` contiguous row vectors and
+                /// transposed in registers, so every source line is
+                /// loaded once.
+                ///
+                /// # Safety
+                /// The CPU supports AVX-512F; `count` is a multiple of
+                /// `LANES`; `src` is valid for reads at every
+                /// `i·stride + j`, `i < LANES`, `j < count`; `dst` for
+                /// `count·LANES` writes.
+                #[target_feature(enable = "avx512f")]
+                pub(in super::super) unsafe fn pack(
+                    src: *const $t,
+                    stride: usize,
+                    count: usize,
+                    dst: *mut $t,
+                ) {
+                    debug_assert!(count.is_multiple_of(LANES));
+                    for j0 in (0..count).step_by(LANES) {
+                        let mut rows = [$zero(); LANES];
+                        // SAFETY: row `i` reads `src[i·stride + j0 ..
+                        // + LANES]` with `j0 + LANES <= count`, and vector
+                        // `j0 + c` of `dst` is below `count`.
+                        unsafe {
+                            for (i, r) in rows.iter_mut().enumerate() {
+                                *r = $load(src.add(i * stride + j0));
+                            }
+                            $transpose(&mut rows);
+                            for (c, r) in rows.into_iter().enumerate() {
+                                $store(dst.add((j0 + c) * LANES), r);
+                            }
+                        }
+                    }
+                }
+
+                /// Group step over outer slices `[o_lo, o_hi)` of one
+                /// row: per block of `LANES` outer slices, pack the
+                /// block's `LANES × block` inputs lane-major into a stack
+                /// buffer, apply every factor of `run` (execution order,
+                /// `(ptr, P, Q)`) ping-ponging between two stack buffers,
+                /// and store each vector of the last step straight to
+                /// output column `qidx·outer + o0`.
+                ///
+                /// # Safety
+                /// The CPU supports AVX-512F; `run` is non-empty; `block`
+                /// is a multiple of `LANES`, and every local intermediate
+                /// (`block`, then each partial `∏Q·∏P`) is at most
+                /// [`GROUP_BUDGET`]; each `(ptr, p, q)`
+                /// is valid for `p·q` reads; `x` is valid for
+                /// `outer·block` reads; `o_lo`, `o_hi <= outer` are
+                /// multiples of `LANES`; `out` is valid for `outer·∏Q`
+                /// writes, and no other thread touches the output columns
+                /// `qidx·outer + o` with `o ∈ [o_lo, o_hi)`.
+                #[target_feature(enable = "avx512f")]
+                pub(in super::super) unsafe fn group(
+                    x: *const $t,
+                    run: &[(*const $t, usize, usize)],
+                    block: usize,
+                    outer: usize,
+                    o_lo: usize,
+                    o_hi: usize,
+                    out: *mut $t,
+                ) {
+                    // Never zeroed: the pack writes the `block` vectors
+                    // the first step reads, and every step writes the
+                    // `s·q` vectors the next one reads.
+                    let mut a = [const { MaybeUninit::<$v>::uninit() }; GROUP_BUDGET];
+                    let mut b = [const { MaybeUninit::<$v>::uninit() }; GROUP_BUDGET];
+                    let (a, b) = (a.as_mut_ptr().cast::<$t>(), b.as_mut_ptr().cast::<$t>());
+                    let mut o0 = o_lo;
+                    while o0 < o_hi {
+                        // SAFETY: block `o0` holds `x[(o0 + i)·block + j]`
+                        // for `i < LANES`, `j < block`, inside `x` as
+                        // `o0 + LANES <= outer`; `block` is a multiple of
+                        // `LANES`, and `a` holds `block <= GROUP_BUDGET`
+                        // vectors.
+                        unsafe { pack(x.add(o0 * block), block, block, a) };
+                        let (mut src, mut dst) = (a, b);
+                        let mut len = block;
+                        for (i, &(f, p, q)) in run.iter().enumerate() {
+                            let s = len / p;
+                            let last = i + 1 == run.len();
+                            for si in 0..s {
+                                // Local slice `si` is vectors
+                                // `[si·p, si·p + p)` of `src`; its column
+                                // `c` goes to local vector `c·s + si`,
+                                // which the last step maps to output
+                                // column `(c·s + si)·outer + o0`.
+                                // SAFETY: `si·p + p <= len <= GROUP_BUDGET`
+                                // vectors of `src` were written by the
+                                // previous step (or the pack); `dst` holds
+                                // `s·q <= GROUP_BUDGET` vectors; the last
+                                // step writes lanes `[o0, o0 + LANES)` of
+                                // output columns below `outer·∏Q`, owned
+                                // by this thread.
+                                unsafe {
+                                    let panel = src.add(si * p * LANES);
+                                    if last {
+                                        columns(
+                                            panel,
+                                            f,
+                                            p,
+                                            q,
+                                            out.add(si * outer + o0),
+                                            s * outer,
+                                        );
+                                    } else {
+                                        columns(panel, f, p, q, dst.add(si * LANES), s * LANES);
+                                    }
+                                }
+                            }
+                            std::mem::swap(&mut src, &mut dst);
+                            len = s * q;
+                        }
+                        o0 += LANES;
+                    }
                 }
             }
+        };
+    }
+
+    lane_kernels!(
+        f32x,
+        f32,
+        __m512,
+        16,
+        _mm512_loadu_ps,
+        _mm512_storeu_ps,
+        _mm512_set1_ps,
+        _mm512_setzero_ps,
+        _mm512_fmadd_ps,
+        transpose_16x16
+    );
+    lane_kernels!(
+        f64x,
+        f64,
+        __m512d,
+        8,
+        _mm512_loadu_pd,
+        _mm512_storeu_pd,
+        _mm512_set1_pd,
+        _mm512_setzero_pd,
+        _mm512_fmadd_pd,
+        transpose_8x8
+    );
+
+    /// Transposes 16 rows of 16 f32 in place: afterwards `r[c]` holds
+    /// column `c`. Unpacks pair rows within 128-bit lanes, then two rounds
+    /// of `shuffle_f32x4` gather each column's four 4-row pieces.
+    #[target_feature(enable = "avx512f")]
+    fn transpose_16x16(r: &mut [__m512; 16]) {
+        // v[g][e], lane k: rows 4g..4g+3 at column 4k + e.
+        let mut v = [[_mm512_setzero_ps(); 4]; 4];
+        for (g, vg) in v.iter_mut().enumerate() {
+            let [a, b, c, d] = [r[4 * g], r[4 * g + 1], r[4 * g + 2], r[4 * g + 3]];
+            let (ab_lo, ab_hi) = (_mm512_unpacklo_ps(a, b), _mm512_unpackhi_ps(a, b));
+            let (cd_lo, cd_hi) = (_mm512_unpacklo_ps(c, d), _mm512_unpackhi_ps(c, d));
+            let pd = _mm512_castps_pd;
+            *vg = [
+                _mm512_castpd_ps(_mm512_unpacklo_pd(pd(ab_lo), pd(cd_lo))),
+                _mm512_castpd_ps(_mm512_unpackhi_pd(pd(ab_lo), pd(cd_lo))),
+                _mm512_castpd_ps(_mm512_unpacklo_pd(pd(ab_hi), pd(cd_hi))),
+                _mm512_castpd_ps(_mm512_unpackhi_pd(pd(ab_hi), pd(cd_hi))),
+            ];
         }
-        for (j, a) in acc.into_iter().enumerate() {
-            // SAFETY: column `q0 + j < q`'s 16 results are consecutive at
-            // `(q0 + j)·slices + s0`, inside `out` since `s0 + 16 <= slices`.
-            unsafe { _mm512_storeu_ps(out.add(fused_output_col(q0 + j, slices, s0)), a) };
+        for e in 0..4 {
+            let even01 = _mm512_shuffle_f32x4::<0x88>(v[0][e], v[1][e]);
+            let even23 = _mm512_shuffle_f32x4::<0x88>(v[2][e], v[3][e]);
+            let odd01 = _mm512_shuffle_f32x4::<0xdd>(v[0][e], v[1][e]);
+            let odd23 = _mm512_shuffle_f32x4::<0xdd>(v[2][e], v[3][e]);
+            r[e] = _mm512_shuffle_f32x4::<0x88>(even01, even23);
+            r[8 + e] = _mm512_shuffle_f32x4::<0xdd>(even01, even23);
+            r[4 + e] = _mm512_shuffle_f32x4::<0x88>(odd01, odd23);
+            r[12 + e] = _mm512_shuffle_f32x4::<0xdd>(odd01, odd23);
         }
     }
 
-    /// 8 f64 slices × [`WQ`] columns.
-    ///
-    /// # Safety
-    /// As [`tile_f32`], with 8 slices: `panel` valid for `p·8` reads (row
-    /// stride 8) and `s0 + 8 <= slices`.
-    #[allow(clippy::too_many_arguments)]
+    /// Transposes 8 rows of 8 f64 in place: afterwards `r[c]` holds
+    /// column `c`.
     #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn tile_f64(
-        panel: *const f64,
-        f: *const f64,
-        p: usize,
-        q: usize,
-        q0: usize,
-        s0: usize,
-        slices: usize,
-        out: *mut f64,
-    ) {
-        let mut acc = [_mm512_setzero_pd(); WQ];
-        for pi in 0..p {
-            // SAFETY: as in `tile_f32`, with 8 panel elements per row.
-            unsafe {
-                let xv = _mm512_loadu_pd(panel.add(pi * F64_SLICES));
-                let fr = f.add(pi * q + q0);
-                for (j, a) in acc.iter_mut().enumerate() {
-                    *a = _mm512_fmadd_pd(xv, _mm512_set1_pd(*fr.add(j)), *a);
-                }
-            }
+    fn transpose_8x8(r: &mut [__m512d; 8]) {
+        // t[2h + i], 128-bit lane k: rows 2h, 2h+1 at column 2k + i.
+        let mut t = [_mm512_setzero_pd(); 8];
+        for h in 0..4 {
+            t[2 * h] = _mm512_unpacklo_pd(r[2 * h], r[2 * h + 1]);
+            t[2 * h + 1] = _mm512_unpackhi_pd(r[2 * h], r[2 * h + 1]);
         }
-        for (j, a) in acc.into_iter().enumerate() {
-            // SAFETY: as in `tile_f32`, with `s0 + 8 <= slices`.
-            unsafe { _mm512_storeu_pd(out.add(fused_output_col(q0 + j, slices, s0)), a) };
+        // u[b + e], e < 4: rows b..b+3 at columns e and e + 4.
+        let mut u = [_mm512_setzero_pd(); 8];
+        for b in [0, 4] {
+            u[b] = _mm512_shuffle_f64x2::<0x88>(t[b], t[b + 2]);
+            u[b + 1] = _mm512_shuffle_f64x2::<0x88>(t[b + 1], t[b + 3]);
+            u[b + 2] = _mm512_shuffle_f64x2::<0xdd>(t[b], t[b + 2]);
+            u[b + 3] = _mm512_shuffle_f64x2::<0xdd>(t[b + 1], t[b + 3]);
+        }
+        for e in 0..4 {
+            r[e] = _mm512_shuffle_f64x2::<0x88>(u[e], u[4 + e]);
+            r[4 + e] = _mm512_shuffle_f64x2::<0xdd>(u[e], u[4 + e]);
         }
     }
+
+    const _: () = assert!(f32x::LANES <= super::PANEL_SLICES && f64x::LANES <= super::PANEL_SLICES);
 }
 
 /// Fallback for factors taller than [`PANEL_MAX_P`]: no packing (the panel
@@ -1222,7 +1730,8 @@ mod avx512 {
 /// scattering through [`fused_output_col`].
 ///
 /// # Safety
-/// Same contract as [`sliced_multiply_row_range`].
+/// The contract of [`sliced_multiply_row_range`] for `x`, `f`, the slice
+/// range and `out`.
 #[allow(clippy::too_many_arguments)]
 unsafe fn sliced_multiply_row_tall<T: Element>(
     x: &[T],
@@ -1426,7 +1935,7 @@ mod tests {
         let width = wide.slices();
         let mut rng = 0x9E37_79B9_7F4A_7C15_u64;
         for p in [1usize, 2, 3, 8, 17, 160] {
-            for q in [1usize, 5, 8, 13, 16] {
+            for q in [1usize, 5, 7, 8, 13, 16] {
                 // Slice counts below, at and off multiples of the width.
                 for slices in [1usize, 7, width, width + 5, 3 * width - 3] {
                     let x = random_vec::<T>(slices * p, &mut rng);
@@ -1451,7 +1960,7 @@ mod tests {
                             // holds `p·q`, `s_lo <= s_hi <= slices`, and
                             // `tile` is `None` or `select::<T>()`.
                             unsafe {
-                                sliced_multiply_row_range_with(
+                                sliced_multiply_row_range(
                                     tile,
                                     &x,
                                     &f,
@@ -1489,6 +1998,208 @@ mod tests {
     #[test]
     fn wide_tile_is_bit_identical_to_portable_tile_f64() {
         assert_wide_tile_matches_portable::<f64>();
+    }
+
+    fn stages(runs: &[usize]) -> Vec<Stage> {
+        let mut first = 0;
+        runs.iter()
+            .map(|&len| {
+                first += len;
+                Stage {
+                    first: first - len,
+                    len,
+                }
+            })
+            .collect()
+    }
+
+    fn shapes(m: usize, fs: &[(usize, usize)]) -> KronProblem {
+        KronProblem::new(m, fs.iter().map(|&(p, q)| FactorShape::new(p, q)).collect()).unwrap()
+    }
+
+    #[test]
+    fn planner_cuts_runs_at_the_budget_and_the_lane_width() {
+        for lanes in [8, 16] {
+            // Run of 32·32 = GROUP_BUDGET exactly forms; O = 16.
+            let at_budget = shapes(2, &[(16, 16), (32, 32), (32, 32)]);
+            assert_eq!(plan_stages(&at_budget, Some(lanes)), stages(&[2, 1]));
+            // One more column makes the run's second intermediate
+            // 33·32 > GROUP_BUDGET, so the run starts one factor later.
+            let over = shapes(2, &[(16, 16), (32, 33), (32, 32)]);
+            assert_eq!(plan_stages(&over, Some(lanes)), stages(&[1, 2]));
+            // O = 4 after two factors: never a multiple of the lanes.
+            let narrow = shapes(3, &[(4, 4), (4, 4), (2, 2)]);
+            assert_eq!(plan_stages(&narrow, Some(lanes)), stages(&[1, 1, 1]));
+            // O = 64 fits, but ∏P = 4 is below the lanes, so the block
+            // would not pack as whole transposes.
+            let short = shapes(2, &[(64, 64), (2, 2), (2, 2)]);
+            assert_eq!(plan_stages(&short, Some(lanes)), stages(&[1, 1, 1]));
+            // Without a 512-bit tile every factor is a single step.
+            assert_eq!(plan_stages(&at_budget, None), stages(&[1, 1, 1]));
+        }
+        // 4⁴ (the serving mix's f32 model and the allocation gate's
+        // chain): two runs of two factors at either lane width.
+        let p4 = shapes(2, &[(4, 4); 4]);
+        assert_eq!(plan_stages(&p4, Some(16)), stages(&[2, 2]));
+        assert_eq!(plan_stages(&p4, Some(8)), stages(&[2, 2]));
+        // The f32 lanes (16) need a larger O than the f64 lanes (8).
+        let p8 = shapes(3, &[(8, 8); 4]);
+        assert_eq!(plan_stages(&p8, Some(16)), stages(&[2, 2]));
+        assert_eq!(plan_stages(&p8, Some(8)), stages(&[3, 1]));
+        // 2⁸: the two- and three-factor prefixes fail the ∏P condition at
+        // 16 lanes, so the planner takes the longest run that fits, not
+        // the first that stops growing.
+        let p2 = shapes(2, &[(2, 2); 8]);
+        assert_eq!(plan_stages(&p2, Some(16)), stages(&[4, 4]));
+        assert_eq!(plan_stages(&p2, Some(8)), stages(&[5, 3]));
+        // Figure 9 shapes: P = 64 and 128 stay single steps.
+        for (p, n, f32_runs) in [
+            (8, 5, &[3, 2][..]),
+            (8, 6, &[3, 3]),
+            (16, 4, &[2, 2]),
+            (16, 5, &[2, 2, 1]),
+            (32, 3, &[2, 1]),
+            (32, 4, &[2, 2]),
+            (64, 2, &[1, 1]),
+            (128, 3, &[1, 1, 1]),
+        ] {
+            let problem = KronProblem::uniform(16, p, n).unwrap();
+            assert_eq!(
+                plan_stages(&problem, Some(16)),
+                stages(f32_runs),
+                "p{p}n{n}"
+            );
+        }
+    }
+
+    #[test]
+    fn differential_pinned_shapes_form_runs() {
+        // The shapes `tests/differential.rs` pins for the group path.
+        for (fs, lanes) in [
+            (&[(8, 8); 4][..], 16),
+            (&[(2, 2); 8], 16),
+            (&[(8, 3), (4, 2), (2, 4), (4, 4), (2, 2)], 16),
+            (&[(8, 8); 4], 8),
+            (&[(2, 2); 8], 8),
+            (&[(4, 2), (2, 4), (4, 4), (2, 2)], 8),
+        ] {
+            let plan = plan_stages(&shapes(2, fs), Some(lanes));
+            assert!(
+                plan.iter().any(|s| s.len >= 2),
+                "{fs:?} at {lanes} lanes: {plan:?}"
+            );
+        }
+    }
+
+    /// The transposing pack must place `src[i·stride + j]` in lane `i` of
+    /// vector `j`.
+    fn assert_pack_is_lane_major<T: Element>() {
+        let Some(tile) = WideTile::select::<T>() else {
+            eprintln!("SKIPPED lane-major pack: this CPU has no AVX-512F");
+            return;
+        };
+        let lanes = tile.slices();
+        for (count, stride) in [(lanes, lanes), (2 * lanes, 3 * lanes), (lanes, 40)] {
+            let src: Vec<T> = (0..lanes * stride).map(|v| T::from_f64(v as f64)).collect();
+            let mut dst = vec![T::ZERO; count * lanes];
+            // SAFETY: `tile` is `select::<T>()`, `count` is a multiple of
+            // its lanes, `src` holds `lanes·stride >= (lanes - 1)·stride +
+            // count` elements and `dst` `count·lanes`.
+            unsafe { tile.pack(src.as_ptr(), stride, count, dst.as_mut_ptr()) };
+            for j in 0..count {
+                for i in 0..lanes {
+                    assert_eq!(
+                        dst[j * lanes + i].to_f64(),
+                        (i * stride + j) as f64,
+                        "count {count} stride {stride}: vector {j} lane {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pack_is_lane_major_f32() {
+        assert_pack_is_lane_major::<f32>();
+    }
+
+    #[test]
+    fn pack_is_lane_major_f64() {
+        assert_pack_is_lane_major::<f64>();
+    }
+
+    /// Grouped execution, in every partition mode, must write the same
+    /// bits as step-by-step execution on random real data.
+    fn assert_groups_match_single_steps<T: Element>() {
+        let Some(lanes) = WideTile::select::<T>().map(WideTile::slices) else {
+            eprintln!(
+                "SKIPPED group-vs-step bit identity ({}): this CPU has no AVX-512F, \
+                 so no group steps form",
+                T::DTYPE.rust_name()
+            );
+            return;
+        };
+        let mut rng = 0x2545_F491_4F6C_DD1D_u64;
+        for (m, fs) in [
+            // P ≠ Q, Q not a multiple of 8: a run of (2,7)·(8,3), then a
+            // single (32,5) step.
+            (3, &[(32, 5), (8, 3), (2, 7)][..]),
+            // A run at exactly the budget, and one cut just past it.
+            (2, &[(16, 16), (32, 32), (32, 32)]),
+            (2, &[(16, 16), (32, 33), (32, 32)]),
+            // O not a multiple of the lanes: single steps only.
+            (3, &[(4, 4), (4, 4), (2, 2)]),
+            // Long runs of small factors, and a run ending the chain.
+            (5, &[(2, 2); 8]),
+            (3, &[(8, 8); 4]),
+            (2, &[(8, 3), (4, 2), (2, 4), (4, 4), (2, 2)]),
+        ] {
+            let problem = shapes(m, fs);
+            let x = Matrix::from_vec(m, problem.input_cols(), {
+                random_vec::<T>(m * problem.input_cols(), &mut rng)
+            })
+            .unwrap();
+            let factors: Vec<Matrix<T>> = fs
+                .iter()
+                .map(|&(p, q)| Matrix::from_vec(p, q, random_vec::<T>(p * q, &mut rng)).unwrap())
+                .collect();
+            let refs: Vec<&Matrix<T>> = factors.iter().collect();
+
+            let mut steps = Workspace::<T>::new(&problem);
+            steps.stages = plan_stages(&problem, None);
+            steps.set_partition(Some((1, 1)));
+            let want = steps.execute(&x, &refs).unwrap();
+
+            let mut grouped = Workspace::<T>::new(&problem);
+            assert_eq!(grouped.stages, plan_stages(&problem, Some(lanes)));
+            for partition in [
+                Some((1, 1)),
+                Some((2, 1)),
+                Some((1, 2)),
+                Some((1, 3)),
+                Some((2, 3)),
+            ] {
+                grouped.set_partition(partition);
+                let got = grouped.execute(&x, &refs).unwrap();
+                for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                    assert_eq!(
+                        g.to_f64().to_bits(),
+                        w.to_f64().to_bits(),
+                        "{problem} {partition:?} element {i}: grouped {g} vs steps {w}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn group_steps_are_bit_identical_to_single_steps_f32() {
+        assert_groups_match_single_steps::<f32>();
+    }
+
+    #[test]
+    fn group_steps_are_bit_identical_to_single_steps_f64() {
+        assert_groups_match_single_steps::<f64>();
     }
 
     #[test]
@@ -1562,6 +2273,16 @@ mod tests {
         assert!(kron_matmul_fused::<f64>(&x, &[]).is_err());
         let ok = seq_matrix(2, 4, 0);
         assert!(kron_matmul_fused(&ok, &[&f, &f]).is_ok());
+        // Shapes whose ∏P overflows usize are typed errors, not wraps:
+        // four 65536×1 factors (∏P = 2^64) and 41 factors of 3×3.
+        let tall = Matrix::<f64>::zeros(65536, 1);
+        let three = Matrix::<f64>::identity(3);
+        for factors in [vec![&tall; 4], vec![&three; 41]] {
+            assert!(matches!(
+                kron_matmul_fused(&x, &factors),
+                Err(KronError::ShapeOverflow { .. })
+            ));
+        }
     }
 
     #[test]

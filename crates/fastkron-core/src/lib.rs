@@ -15,9 +15,13 @@
 //!   tile on AVX-512F CPUs, chosen at run time, and the portable `RK×RQ`
 //!   `mul_add` tile elsewhere) whose epilogue scatters results directly
 //!   to output column `q·K/P + slice` ([`exec::fused_output_col`]) — the
-//!   memory shuffle the shuffle algorithm pays for never happens. Row
-//!   tiles run in parallel, each threading its *entire* factor chain
-//!   through its own disjoint slice of the workspace.
+//!   memory shuffle the shuffle algorithm pays for never happens. On
+//!   AVX-512F CPUs, runs of consecutive small factors execute as one
+//!   *group step* (the §4.2 fusion): a block of outer slices stays in
+//!   registers and stack buffers across the run's multiplies, and memory
+//!   is written once per run instead of once per factor. Row tiles run
+//!   in parallel, each threading its *entire* factor chain through its
+//!   own disjoint slice of the workspace.
 //! * [`algorithm`] — the straightforward per-step functional reference for
 //!   a single sliced multiply ([`algorithm::sliced_multiply`]); the full
 //!   chain ([`algorithm::kron_matmul_fastkron`]) now runs on the fused

@@ -3,10 +3,12 @@
 //! caller-provided output performs **zero heap allocations** — no per-step
 //! intermediates, no transpose scratch, nothing.
 //!
-//! The test binary installs a global allocator that counts allocations, so
-//! everything here runs below the parallel-dispatch FLOP threshold: row
-//! tiles would otherwise spawn scoped threads, which allocate once per
-//! execute (never per factor step) and would make the count host-dependent.
+//! The test binary installs a global allocator that counts allocations.
+//! The problems here run below the parallel-dispatch FLOP threshold, so
+//! auto-selection picks the serial path; the grouped-chain tests force
+//! row tiles and wide mode with `set_partition`, and warm each mode with
+//! one execute before counting, since the persistent pool's task handoff
+//! is allocation-free only once its queue is warm.
 //!
 //! The counter is process-wide and the test harness runs tests on parallel
 //! threads, so every test holds [`serial`]'s lock for its whole body: one
@@ -17,7 +19,7 @@
 //! only once no allocation has happened for a while.
 
 use fastkron_core::exec::Workspace;
-use kron_core::{FactorShape, KronProblem, Matrix};
+use kron_core::{Element, FactorShape, KronProblem, Matrix};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -146,6 +148,45 @@ fn mixed_rectangular_chain_is_allocation_free() {
         .unwrap(),
         "mixed 2×3 ⊗ 3×2 ⊗ 4×4",
     );
+}
+
+/// A chain the workspace cuts into group steps on hosts with AVX-512F
+/// (4⁴: two runs of two factors for both f32 and f64), executed in every
+/// partition mode. The group plan lives in the workspace and the group
+/// kernel's buffers on the stack, so no mode allocates per execute.
+fn assert_grouped_chain_allocation_free<T: Element>() {
+    let problem = KronProblem::uniform(2, 4, 4).unwrap();
+    let x = Matrix::<T>::from_fn(2, problem.input_cols(), |r, c| {
+        T::from_f64(((r * 7 + c) % 11) as f64 - 5.0)
+    });
+    let fs: Vec<Matrix<T>> = (0..4)
+        .map(|i| Matrix::from_fn(4, 4, |r, c| T::from_f64(((i + r * 4 + c) % 5) as f64 - 2.0)))
+        .collect();
+    let refs: Vec<&Matrix<T>> = fs.iter().collect();
+    let oracle = kron_core::naive::kron_matmul_naive(&x, &refs).unwrap();
+    let mut workspace = Workspace::<T>::new(&problem);
+    let mut y = Matrix::zeros(2, problem.output_cols());
+    for (partition, mode) in [((1, 1), "serial"), ((2, 1), "row tiles"), ((2, 2), "wide")] {
+        workspace.set_partition(Some(partition));
+        workspace.execute_into(&x, &refs, &mut y).unwrap();
+        let (allocs, result) = allocations_during(|| workspace.execute_into(&x, &refs, &mut y));
+        result.unwrap();
+        let label = format!("grouped 4^4 {} ({mode})", T::DTYPE.rust_name());
+        assert_eq!(allocs, 0, "{label}: allocated {allocs} times per execute");
+        kron_core::assert_matrices_close(&y, &oracle, &label);
+    }
+}
+
+#[test]
+fn grouped_chain_is_allocation_free_in_every_mode_f32() {
+    let _serial = serial();
+    assert_grouped_chain_allocation_free::<f32>();
+}
+
+#[test]
+fn grouped_chain_is_allocation_free_in_every_mode_f64() {
+    let _serial = serial();
+    assert_grouped_chain_allocation_free::<f64>();
 }
 
 #[test]

@@ -90,6 +90,13 @@ pub enum KronError {
         /// The configured `CachePolicy::max_bytes` budget.
         max_bytes: usize,
     },
+    /// A problem's sizes (`∏Pᵢ`, `∏Qᵢ`, an intermediate width, the
+    /// workspace element count or the FLOP count) overflow their integer
+    /// type, so no buffer could be sized for it.
+    ShapeOverflow {
+        /// Which size overflowed, for which problem.
+        what: String,
+    },
 }
 
 impl fmt::Display for KronError {
@@ -133,6 +140,7 @@ impl fmt::Display for KronError {
                 "plan-cache byte budget exceeded: entry needs ~{required_bytes} bytes \
                  but the whole budget is {max_bytes} bytes"
             ),
+            KronError::ShapeOverflow { what } => write!(f, "shape overflow: {what}"),
         }
     }
 }

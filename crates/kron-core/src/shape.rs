@@ -64,8 +64,12 @@ impl KronProblem {
     /// Builds and validates a problem description.
     ///
     /// # Errors
-    /// [`KronError::NoFactors`] when `factors` is empty and
-    /// [`KronError::EmptyDimension`] when any dimension is zero.
+    /// [`KronError::NoFactors`] when `factors` is empty,
+    /// [`KronError::EmptyDimension`] when any dimension is zero, and
+    /// [`KronError::ShapeOverflow`] when `∏Pᵢ`, `∏Qᵢ`, any intermediate
+    /// width, [`KronProblem::max_intermediate_elems`] or
+    /// [`KronProblem::flops`] does not fit its integer type. Every size
+    /// method of an accepted problem is therefore exact.
     pub fn new(m: usize, factors: Vec<FactorShape>) -> Result<Self> {
         if factors.is_empty() {
             return Err(KronError::NoFactors);
@@ -82,7 +86,40 @@ impl KronProblem {
                 });
             }
         }
-        Ok(KronProblem { m, factors })
+        let problem = KronProblem { m, factors };
+        problem.check_sizes()?;
+        Ok(problem)
+    }
+
+    /// Recomputes every size the problem reports with checked arithmetic.
+    fn check_sizes(&self) -> Result<()> {
+        let overflow = |what: &str| KronError::ShapeOverflow {
+            what: format!("{what} of M={}, {} factors", self.m, self.factors.len()),
+        };
+        let product = |dim: fn(&FactorShape) -> usize| {
+            self.factors
+                .iter()
+                .try_fold(1usize, |acc, f| acc.checked_mul(dim(f)))
+        };
+        let k = product(|f| f.p).ok_or_else(|| overflow("∏Pᵢ"))?;
+        product(|f| f.q).ok_or_else(|| overflow("∏Qᵢ"))?;
+        let (mut input, mut widest, mut flops) = (k, k, 0u64);
+        for f in self.factors.iter().rev() {
+            let output = (input / f.p)
+                .checked_mul(f.q)
+                .ok_or_else(|| overflow("an intermediate width"))?;
+            widest = widest.max(output);
+            flops = [self.m, output, f.p]
+                .iter()
+                .try_fold(2u64, |acc, &d| acc.checked_mul(d as u64))
+                .and_then(|step| flops.checked_add(step))
+                .ok_or_else(|| overflow("the FLOP count"))?;
+            input = output;
+        }
+        self.m
+            .checked_mul(widest)
+            .ok_or_else(|| overflow("the intermediate element count"))?;
+        Ok(())
     }
 
     /// Problem with `n` identical square `p × p` factors — the paper's
@@ -366,6 +403,30 @@ mod tests {
         ));
         assert!(KronProblem::new(0, vec![FactorShape::square(2)]).is_err());
         assert!(KronProblem::new(4, vec![FactorShape::new(0, 2)]).is_err());
+    }
+
+    #[test]
+    fn overflowing_shapes_are_typed_errors() {
+        let overflow = |m, factors| {
+            matches!(
+                KronProblem::new(m, factors),
+                Err(KronError::ShapeOverflow { .. })
+            )
+        };
+        // ∏P = 2^64 wraps to 0 in unchecked usize arithmetic.
+        assert!(overflow(1, vec![FactorShape::new(65536, 1); 4]));
+        // ∏Q overflows while ∏P = 1.
+        assert!(overflow(1, vec![FactorShape::new(1, 65536); 4]));
+        // 3^41 > 2^64.
+        assert!(overflow(1, vec![FactorShape::square(3); 41]));
+        // Each product fits, but M · the widest intermediate does not.
+        assert!(overflow(1 << 40, vec![FactorShape::square(1 << 12); 2]));
+        // The intermediate widths fit, but the FLOP count does not.
+        assert!(overflow(1 << 22, vec![FactorShape::square(1 << 8); 4]));
+        // The largest shapes that fit are accepted and report exact sizes.
+        let edge = KronProblem::new(1, vec![FactorShape::new(65536, 1); 3]).unwrap();
+        assert_eq!(edge.input_cols(), 1 << 48);
+        assert_eq!(edge.output_cols(), 1);
     }
 
     #[test]

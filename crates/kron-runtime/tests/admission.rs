@@ -592,13 +592,18 @@ fn expired_deadline_sheds_identically_on_both_lanes() {
         let y = warm.wait().unwrap();
         assert_matrices_close(&y, &expected, "warming request");
 
-        // Virtual now = 1_000_000; the deadline (500_000) already passed.
-        time.set_us(1_000_000);
+        // The warm-up advanced the clock by an amount that depends on
+        // scheduling, so the later time and the deadline are set relative
+        // to where it stopped: now = base + 1_000_000, and the deadline
+        // (base + 500_000) already passed.
+        let base = time.now_us();
+        let (now, deadline) = (base + 1_000_000, base + 500_000);
+        time.set_us(now);
         let t = runtime
             .submit_with(
                 &model,
                 seq_matrix(2, model.input_cols(), 7),
-                SubmitOptions::default().with_deadline_us(500_000),
+                SubmitOptions::default().with_deadline_us(deadline),
             )
             .unwrap();
         if inline_bypass {
@@ -612,8 +617,8 @@ fn expired_deadline_sheds_identically_on_both_lanes() {
                 deadline_us,
                 now_us,
             }) => {
-                assert_eq!(deadline_us, 500_000);
-                assert!(now_us >= 1_000_000, "shed at virtual {now_us}");
+                assert_eq!(deadline_us, deadline);
+                assert!(now_us >= now, "shed at virtual {now_us}");
             }
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }

@@ -249,6 +249,13 @@ fn every_error_variant_round_trips_display_and_debug() {
             "plan-cache byte budget exceeded: entry needs ~4096 bytes but the whole budget is 1024 bytes",
             "CacheBudgetExceeded",
         ),
+        (
+            KronError::ShapeOverflow {
+                what: "∏Pᵢ of M=1, 4 factors".into(),
+            },
+            "shape overflow: ∏Pᵢ of M=1, 4 factors",
+            "ShapeOverflow",
+        ),
     ];
     for (err, display, variant) in &cases {
         assert_eq!(&err.to_string(), display, "{variant} Display drifted");
@@ -273,10 +280,30 @@ fn every_error_variant_round_trips_display_and_debug() {
             | KronError::DeadlineExceeded { .. }
             | KronError::DeviceTimeout { .. }
             | KronError::Shutdown
-            | KronError::CacheBudgetExceeded { .. } => {}
+            | KronError::CacheBudgetExceeded { .. }
+            | KronError::ShapeOverflow { .. } => {}
         }
     }
-    assert_eq!(cases.len(), 12, "new variant? add its row");
+    assert_eq!(cases.len(), 13, "new variant? add its row");
+}
+
+/// Shapes whose sizes overflow `usize` are rejected when the model loads,
+/// with the typed error, instead of wrapping: four 65536×1 factors have
+/// ∏P = 2^64 (0 when wrapped), and 41 factors of 3×3 have ∏P = 3^41.
+#[test]
+fn overflowing_shapes_fail_to_load() {
+    let runtime = Runtime::new(RuntimeConfig::default());
+    let wide: Vec<Matrix<f32>> = (0..4).map(|_| Matrix::zeros(65536, 1)).collect();
+    let deep: Vec<Matrix<f32>> = (0..41).map(|_| Matrix::identity(3)).collect();
+    for (factors, label) in [(wide, "65536×1 ×4"), (deep, "3^41")] {
+        match runtime.load_model(factors) {
+            Err(KronError::ShapeOverflow { ref what }) => {
+                assert!(what.contains("∏Pᵢ"), "{label}: {what}")
+            }
+            other => panic!("{label}: expected ShapeOverflow, got {:?}", other.err()),
+        }
+    }
+    runtime.shutdown();
 }
 
 /// `RuntimeStats::Display` renders an aligned table with one row per

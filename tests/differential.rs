@@ -39,7 +39,8 @@ proptest! {
 
 /// Hand-pinned cases: one per family plus the edges that exercise every
 /// special case at once (single factor, tall solo-path M, expanding then
-/// contracting intermediates, shardable Figure 11-style chains). Failures
+/// contracting intermediates, shardable Figure 11-style chains, chains
+/// the fused path runs as group steps). Failures
 /// from the property tests get pasted here verbatim.
 #[test]
 fn pinned_regression_corpus() {
@@ -77,6 +78,20 @@ fn pinned_regression_corpus() {
             KronCase::<f64>::deterministic(3, &[(2, 8), (8, 2)], 8),
             "expand then contract",
         ),
+        // Chains the fused path cuts into group steps on AVX-512F hosts
+        // (runs of consecutive small factors in one pass).
+        (
+            KronCase::<f64>::deterministic(3, &[(8, 8), (8, 8), (8, 8), (8, 8)], 9),
+            "group steps, 8^4",
+        ),
+        (
+            KronCase::<f64>::deterministic(5, &[(2, 2); 8], 10),
+            "group steps, 2^8",
+        ),
+        (
+            KronCase::<f64>::deterministic(2, &[(4, 2), (2, 4), (4, 4), (2, 2)], 11),
+            "group steps, rectangular",
+        ),
     ] {
         if let Err(e) = check_all_paths(&case) {
             panic!("pinned case ({label}) regressed:\n{e}");
@@ -112,6 +127,18 @@ fn pinned_regression_corpus() {
                 14,
             ),
             "deep chain, solo M",
+        ),
+        (
+            KronCase::<f32>::deterministic(3, &[(8, 8), (8, 8), (8, 8), (8, 8)], 15),
+            "group steps, 8^4",
+        ),
+        (
+            KronCase::<f32>::deterministic(5, &[(2, 2); 8], 16),
+            "group steps, 2^8",
+        ),
+        (
+            KronCase::<f32>::deterministic(2, &[(8, 3), (4, 2), (2, 4), (4, 4), (2, 2)], 17),
+            "group steps, rectangular",
         ),
     ] {
         if let Err(e) = check_all_paths(&case) {
